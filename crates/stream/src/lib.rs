@@ -59,6 +59,7 @@
 //! * [`space`] — bit-level space reports ([`space::SpaceUsage`]), the
 //!   measurement behind every Figure 1 comparison.
 
+pub mod frame;
 pub mod gen;
 pub mod merge;
 pub mod net;
@@ -103,7 +104,7 @@ pub use update::{Item, StreamBatch, Update};
 pub use vector::FrequencyVector;
 pub use wal::{
     read_segment, truncate_segment, wal_segments, SegmentHeader, SegmentScan, WalCell, WalDamage,
-    WalLogger, WalPolicy, WalRecord, WalTruncation, WalWriter, MAX_WAL_RECORD, WAL_MAGIC,
-    WAL_VERSION,
+    WalLogger, WalPolicy, WalRecord, WalTruncation, WalWriter, MAX_WAL_CHUNK, MAX_WAL_RECORD,
+    WAL_MAGIC, WAL_VERSION,
 };
 pub use wire::{ErrorCode, Request, Response, WireError, WireReport, MAX_FRAME};

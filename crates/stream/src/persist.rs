@@ -8,24 +8,22 @@
 //! last valid snapshot and replay only the stream tail after its epoch
 //! stamp.
 //!
-//! Two envelopes, both following the wire layer's conventions
-//! (little-endian integers, floats as `to_bits`, length prefixes, strict
-//! decoding with typed errors):
+//! Two sealed envelopes ([`crate::frame`]: magic, version, length, body,
+//! CRC-32C), both strict — truncation, bit flips and trailing bytes are
+//! typed errors:
 //!
-//! * **Sketch blob** (`BDSK`): magic, format version, the full
-//!   [`SketchSpec`](crate::spec::SketchSpec) display string (which embeds
-//!   the seed — a wrong-seed file *is* a wrong-spec file), then the
-//!   family's [`SketchState`](crate::state::SketchState) encoding. Decoding
-//!   rebuilds the sketch from the stamped spec through the registry — the
-//!   same type-checked path `merge_dyn` uses — and overwrites only the
-//!   mutable state, so shapes and hash functions can never desynchronize
-//!   from the construction path.
-//! * **Snapshot file** (`BDSN`): magic, version, a length-prefixed payload
-//!   (capped at [`MAX_SNAPSHOT`]), and a trailing CRC-32. The payload
-//!   stamps the spec string, the service-config string, the epoch position
-//!   (epoch index, ingested prefix length, *offered* stream position — the
-//!   replay cursor), the cumulative accounting of the [`EpochReport`], and
-//!   the sketch blob.
+//! * **Sketch blob** (`BDSK`): the full [`SketchSpec`](crate::spec::SketchSpec)
+//!   display string (which embeds the seed — a wrong-seed file *is* a
+//!   wrong-spec file), then the family's
+//!   [`SketchState`](crate::state::SketchState) encoding. Decoding rebuilds
+//!   the sketch from the stamped spec through the registry and overwrites
+//!   only the mutable state, so shapes and hash functions can never
+//!   desynchronize from the construction path.
+//! * **Snapshot file** (`BDSN`, capped at [`MAX_SNAPSHOT`]): the spec and
+//!   service-config strings, the epoch position (epoch index, ingested
+//!   prefix length, *offered* stream position — the replay cursor), the
+//!   cumulative accounting of the [`EpochReport`], and — filling the rest
+//!   of the body — the sketch blob.
 //!
 //! [`SnapshotStore`] writes one file per epoch (`epoch-NNNNNNNN.bdsnap`)
 //! via a temp-file + rename, and [`SnapshotStore::load_latest`] scans
@@ -35,6 +33,7 @@
 //! round-trip law (`from_bytes(to_bytes(s))` bit-identical) by
 //! `tests/conformance.rs`.
 
+use crate::frame;
 use crate::registry::{DynSketch, Registry, RegistryError};
 use crate::service::EpochReport;
 use crate::spec::SketchSpec;
@@ -219,10 +218,10 @@ pub const SKETCH_MAGIC: [u8; 4] = *b"BDSK";
 /// Magic tag opening a snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"BDSN";
 
-/// Format version stamped into both envelopes. Decoders reject anything
-/// newer ([`PersistError::UnsupportedVersion`]); bumping this is the
+/// Format version stamped into both envelopes. Decoders reject any other
+/// version ([`PersistError::UnsupportedVersion`]); bumping this is the
 /// contract for any layout change.
-pub const PERSIST_VERSION: u16 = 1;
+pub const PERSIST_VERSION: u16 = 2;
 
 /// Hard cap on a snapshot payload or sketch state blob. Snapshots carry
 /// whole sketch tables, so the cap is wider than the wire layer's 1 MiB
@@ -240,12 +239,14 @@ pub enum PersistError {
     Io(String),
     /// The blob doesn't open with the expected magic tag.
     BadMagic,
-    /// The blob's format version is newer than this build understands.
+    /// The blob's format version is not the one this build reads.
     UnsupportedVersion(u16),
-    /// A length header exceeds [`MAX_SNAPSHOT`].
+    /// A length header exceeds its cap ([`MAX_SNAPSHOT`] for snapshots and
+    /// sketch blobs, [`MAX_WAL_RECORD`](crate::wal::MAX_WAL_RECORD) for WAL
+    /// headers and records).
     Oversized(u64),
-    /// The snapshot file's CRC-32 doesn't match its payload (bit flips,
-    /// torn writes).
+    /// An envelope's CRC-32C doesn't match its contents (bit flips, torn
+    /// writes).
     ChecksumMismatch,
     /// The stamped spec string failed to parse.
     BadSpec(String),
@@ -330,165 +331,51 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Slicing-by-8 lookup tables for a reflected CRC-32 with polynomial
-/// `poly`, built at compile time. `t[0]` is the classic byte-at-a-time
-/// table; `t[j]` advances a byte through `j` further zero bytes, letting
-/// the hot loop fold eight input bytes per iteration.
-const fn crc_tables(poly: u32) -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (poly & mask);
-            k += 1;
-        }
-        t[0][i] = crc;
-        i += 1;
-    }
-    let mut j = 1;
-    while j < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[j - 1][i];
-            t[j][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        j += 1;
-    }
-    t
-}
-
-const CRC32_TABLE: [[u32; 256]; 8] = crc_tables(0xEDB8_8320); // IEEE 802.3
-const CRC32C_TABLE: [[u32; 256]; 8] = crc_tables(0x82F6_3B78); // Castagnoli
-
-/// One slicing-by-8 step over the `chunks_exact(8)` stream.
-#[inline]
-fn crc_slice8(t: &[[u32; 256]; 8], crc: u32, c: &[u8]) -> u32 {
-    let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-    let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-    t[7][(lo & 0xFF) as usize]
-        ^ t[6][((lo >> 8) & 0xFF) as usize]
-        ^ t[5][((lo >> 16) & 0xFF) as usize]
-        ^ t[4][(lo >> 24) as usize]
-        ^ t[3][(hi & 0xFF) as usize]
-        ^ t[2][((hi >> 8) & 0xFF) as usize]
-        ^ t[1][((hi >> 16) & 0xFF) as usize]
-        ^ t[0][(hi >> 24) as usize]
-}
-
-/// CRC-32 (IEEE 802.3, the zlib/PNG polynomial), slicing-by-8 — the
-/// `.bdsnap` snapshot checksum (one blob per epoch, format fixed since
-/// it first shipped).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        crc = crc_slice8(&CRC32_TABLE, crc, c);
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC32_TABLE[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// CRC-32C (Castagnoli) — the WAL frame checksum. The log checksums
-/// every dispatched cell on the ingest hot path, so the polynomial is
-/// chosen for the x86 `crc32` instruction (SSE4.2, ~5× the table loop on
-/// the machines this serves); elsewhere it falls back to the same
-/// slicing-by-8 scheme as [`crc32`].
-pub fn crc32c(bytes: &[u8]) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("sse4.2") {
-        // SAFETY: guarded by the sse4.2 runtime check.
-        return unsafe { crc32c_sse42(bytes) };
-    }
-    crc32c_sw(bytes)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse4.2")]
-unsafe fn crc32c_sse42(bytes: &[u8]) -> u32 {
-    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
-    let mut crc = !0u32 as u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        crc = _mm_crc32_u64(crc, u64::from_le_bytes(c.try_into().unwrap()));
-    }
-    let mut crc = crc as u32;
-    for &b in chunks.remainder() {
-        crc = _mm_crc32_u8(crc, b);
-    }
-    !crc
-}
-
-fn crc32c_sw(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        crc = crc_slice8(&CRC32C_TABLE, crc, c);
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ CRC32C_TABLE[0][((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// Encode a sketch as a self-describing blob: magic, version, the spec
-/// display string (seed included), and the family's state encoding.
+/// Encode a sketch as a sealed `BDSK` blob: the spec display string (seed
+/// included), then the family's state encoding.
 /// Errs with [`PersistError::NotPersistable`] if the family doesn't
 /// implement [`SketchState`](crate::state::SketchState).
 pub fn sketch_to_bytes(spec: &SketchSpec, sk: &dyn DynSketch) -> Result<Vec<u8>, PersistError> {
     let state = sk.persist_state().ok_or(PersistError::NotPersistable)?;
     let mut body = StateWriter::new();
+    body.str(&spec.to_string());
     state.save_state(&mut body);
-    let body = body.into_bytes();
-    if body.len() > MAX_SNAPSHOT {
-        return Err(PersistError::Oversized(body.len() as u64));
-    }
-    let mut w = StateWriter::new();
-    w.bytes(&SKETCH_MAGIC);
-    w.u16(PERSIST_VERSION);
-    w.str(&spec.to_string());
-    w.u32(body.len() as u32);
-    w.bytes(&body);
-    Ok(w.into_bytes())
+    frame::seal(
+        SKETCH_MAGIC,
+        PERSIST_VERSION,
+        &body.into_bytes(),
+        MAX_SNAPSHOT,
+    )
 }
 
 /// Decode a sketch blob: parse the stamped spec, rebuild the sketch fresh
 /// through the registry (the type-checked construction path), and overwrite
-/// its mutable state. Strict: truncation, trailing bytes, bad magic, and
-/// unsupported versions are all typed errors.
+/// its mutable state. Strict: truncation, trailing bytes, bad magic, bit
+/// flips and unsupported versions are all typed errors.
 pub fn sketch_from_bytes(
     registry: &Registry,
     bytes: &[u8],
 ) -> Result<(SketchSpec, Box<dyn DynSketch>), PersistError> {
-    let mut r = StateReader::new(bytes);
-    if r.bytes(4).map_err(|_| PersistError::BadMagic)? != SKETCH_MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != PERSIST_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    let spec_str = r.str()?;
-    let spec: SketchSpec = spec_str
-        .parse()
-        .map_err(|e| PersistError::BadSpec(format!("{e}")))?;
-    let len = r.u32()? as usize;
-    if len > MAX_SNAPSHOT {
-        return Err(PersistError::Oversized(len as u64));
-    }
-    let body = r.bytes(len)?;
-    r.finish()?;
+    let mut r = StateReader::new(unseal_exact(bytes, SKETCH_MAGIC)?);
+    let spec = parse_spec(&r.str()?)?;
     let mut sk = registry.build(&spec)?;
     let state = sk.persist_state_mut().ok_or(PersistError::NotPersistable)?;
-    let mut br = StateReader::new(body);
-    state.load_state(&mut br)?;
-    br.finish()?;
+    state.load_state(&mut r)?;
+    r.finish()?;
     Ok((spec, sk))
+}
+
+/// Open a `BDSK`/`BDSN` envelope that must span all of `bytes`.
+fn unseal_exact(bytes: &[u8], magic: [u8; 4]) -> Result<&[u8], PersistError> {
+    let (body, rest) = frame::unseal(bytes, magic, PERSIST_VERSION, MAX_SNAPSHOT)?;
+    if !rest.is_empty() {
+        return Err(StateError::TrailingBytes(rest.len()).into());
+    }
+    Ok(body)
+}
+
+fn parse_spec(s: &str) -> Result<SketchSpec, PersistError> {
+    s.parse().map_err(|e| PersistError::BadSpec(format!("{e}")))
 }
 
 /// One decoded snapshot: everything a service needs to continue as if it
@@ -521,8 +408,8 @@ fn duration_nanos(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Encode one epoch snapshot as a complete file image (header, payload,
-/// trailing CRC-32 over everything before it).
+/// Encode one epoch snapshot as a complete file image: one sealed `BDSN`
+/// envelope.
 pub fn encode_snapshot(
     spec: &SketchSpec,
     config: &str,
@@ -559,58 +446,22 @@ pub fn encode_snapshot(
     p.u64(report.space.counter_bits);
     p.u64(report.space.seed_bits);
     p.u64(report.space.overhead_bits);
-    p.u32(blob.len() as u32);
     p.bytes(&blob);
-    let payload = p.into_bytes();
-    if payload.len() > MAX_SNAPSHOT {
-        return Err(PersistError::Oversized(payload.len() as u64));
-    }
-    let mut w = StateWriter::new();
-    w.bytes(&SNAPSHOT_MAGIC);
-    w.u16(PERSIST_VERSION);
-    w.u32(payload.len() as u32);
-    w.bytes(&payload);
-    let crc = crc32(&w.into_bytes());
-    // Re-assemble: StateWriter gave up the buffer for the CRC pass.
-    let mut out = Vec::with_capacity(4 + 2 + 4 + payload.len() + 4);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&PERSIST_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out.extend_from_slice(&crc.to_le_bytes());
-    Ok(out)
+    frame::seal(
+        SNAPSHOT_MAGIC,
+        PERSIST_VERSION,
+        &p.into_bytes(),
+        MAX_SNAPSHOT,
+    )
 }
 
-/// Decode a snapshot file image produced by [`encode_snapshot`]: verify
-/// magic, version, length cap, and CRC, then rebuild the sketch through
+/// Decode a snapshot file image produced by [`encode_snapshot`]: open
+/// the envelope ([`frame::unseal`]'s checks), then rebuild the sketch through
 /// the registry. The blob's inner spec stamp must agree with the payload's
 /// outer stamp.
 pub fn decode_snapshot(registry: &Registry, bytes: &[u8]) -> Result<SnapshotRecord, PersistError> {
-    let mut r = StateReader::new(bytes);
-    if r.bytes(4).map_err(|_| PersistError::BadMagic)? != SNAPSHOT_MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != PERSIST_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    let len = r.u32()? as usize;
-    if len > MAX_SNAPSHOT {
-        return Err(PersistError::Oversized(len as u64));
-    }
-    let payload = r.bytes(len)?;
-    let stored_crc = r.u32()?;
-    r.finish()?;
-    let crc_span = 4 + 2 + 4 + len;
-    if crc32(&bytes[..crc_span]) != stored_crc {
-        return Err(PersistError::ChecksumMismatch);
-    }
-
-    let mut p = StateReader::new(payload);
-    let spec_str = p.str()?;
-    let spec: SketchSpec = spec_str
-        .parse()
-        .map_err(|e| PersistError::BadSpec(format!("{e}")))?;
+    let mut p = StateReader::new(unseal_exact(bytes, SNAPSHOT_MAGIC)?);
+    let spec = parse_spec(&p.str()?)?;
     let config = p.str()?;
     let epoch = p.u64()? as usize;
     let total_updates = p.u64()? as usize;
@@ -636,12 +487,8 @@ pub fn decode_snapshot(registry: &Registry, bytes: &[u8]) -> Result<SnapshotReco
         seed_bits: p.u64()?,
         overhead_bits: p.u64()?,
     };
-    let blob_len = p.u32()? as usize;
-    if blob_len > MAX_SNAPSHOT {
-        return Err(PersistError::Oversized(blob_len as u64));
-    }
-    let blob = p.bytes(blob_len)?;
-    p.finish()?;
+    // The sketch blob is the rest of the payload.
+    let blob = p.bytes(p.remaining())?;
 
     let (blob_spec, sketch) = sketch_from_bytes(registry, blob)?;
     if blob_spec != spec {
@@ -833,26 +680,6 @@ mod tests {
             sk.update(t % 13, if t % 3 == 0 { -1 } else { 2 });
         }
         (spec, sk)
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical check value for CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32c_known_vector_and_fallback_equivalence() {
-        // The canonical check value for CRC-32C/Castagnoli.
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(b""), 0);
-        // The dispatched (possibly hardware) path must agree with the
-        // table fallback on every length mod 8 and on longer runs.
-        let data: Vec<u8> = (0..1021u32).map(|i| (i * 131 + 7) as u8).collect();
-        for len in [0, 1, 7, 8, 9, 63, 64, 65, 1021] {
-            assert_eq!(crc32c(&data[..len]), crc32c_sw(&data[..len]), "len {len}");
-        }
     }
 
     #[test]

@@ -61,7 +61,9 @@ use crate::runner::StreamRunner;
 use crate::space::SpaceReport;
 use crate::spec::{parse_u64, SketchSpec, SpecError};
 use crate::update::Update;
-use crate::wal::{self, SealedSegment, WalCell, WalLogger, WalPolicy, WalRecord, WalWriter};
+use crate::wal::{
+    self, SealedSegment, WalCell, WalLogger, WalPolicy, WalRecord, WalWriter, MAX_WAL_CHUNK,
+};
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -283,6 +285,12 @@ impl ServiceConfig {
         }
         if self.chunk == 0 {
             return Err(SpecError::BadField("chunk", "must be ≥ 1".into()));
+        }
+        if self.wal != WalPolicy::Off && self.chunk > MAX_WAL_CHUNK {
+            return Err(SpecError::BadField(
+                "chunk",
+                format!("must be ≤ {MAX_WAL_CHUNK} when the WAL is on (one record per cell)"),
+            ));
         }
         if self.depth == 0 {
             return Err(SpecError::BadField("depth", "must be ≥ 1".into()));
@@ -1594,6 +1602,18 @@ mod tests {
             "service:epoch=10000,threads=4,chunk=4096,depth=64,overflow=block"
         );
         assert!("service:wal=sometimes".parse::<ServiceConfig>().is_err());
+        // A logged cell must fit one WAL record: a bigger one would be
+        // written as a frame the reader rejects, and recovery would
+        // truncate it away.
+        assert!(matches!(
+            "service:threads=1,chunk=1048576,wal=batch".parse::<ServiceConfig>(),
+            Err(SpecError::BadField("chunk", _))
+        ));
+        let max = format!("service:chunk={MAX_WAL_CHUNK},wal=epoch");
+        assert_eq!(max.parse::<ServiceConfig>().unwrap().chunk, MAX_WAL_CHUNK);
+        assert!("service:chunk=1048576,wal=off"
+            .parse::<ServiceConfig>()
+            .is_ok());
         // Bare key=value form and defaults.
         let bare: ServiceConfig = "epoch=2^10".parse().unwrap();
         assert_eq!(bare.epoch, 1024);

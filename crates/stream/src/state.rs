@@ -9,7 +9,8 @@
 //! That keeps encodings small, versionable, and impossible to desynchronize
 //! from the construction path.
 //!
-//! The byte conventions mirror the wire layer ([`crate::wire`]): all
+//! The byte conventions are shared with the wire layer ([`crate::wire`],
+//! which decodes its frames with [`StateReader`]): all
 //! integers little-endian, floats as IEEE-754 bit patterns
 //! (`f64::to_bits`), sequences length-prefixed, decoding strict — short
 //! buffers, oversized counts, and trailing bytes are typed [`StateError`]s,
@@ -227,8 +228,14 @@ impl<'a> StateReader<'a> {
     /// A count prefix, validated against the bytes each element needs so a
     /// lying count can't demand an oversized allocation.
     pub fn seq(&mut self, elem_bytes: usize) -> Result<usize, StateError> {
+        self.count(elem_bytes, MAX_STATE)
+    }
+
+    /// A `u32` count prefix whose elements may demand at most `cap` bytes
+    /// in total ([`StateReader::seq`] with a caller-chosen cap).
+    pub fn count(&mut self, elem_bytes: usize, cap: usize) -> Result<usize, StateError> {
         let n = self.u32()? as usize;
-        if n.saturating_mul(elem_bytes.max(1)) > MAX_STATE {
+        if n.saturating_mul(elem_bytes.max(1)) > cap {
             return Err(StateError::Oversized(n as u64));
         }
         Ok(n)

@@ -8,13 +8,7 @@
 pub type Item = u64;
 
 /// A single stream update `(i, Δ)`: `f_i ← f_i + Δ`.
-///
-/// `repr(C)` is load-bearing: on little-endian targets the in-memory
-/// layout (`item` then `delta`, 16 bytes) *is* the WAL record wire
-/// layout, letting the log encode a dispatched cell as one memcpy
-/// (`bd_stream::wal`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(C)]
 pub struct Update {
     /// The item being updated.
     pub item: Item,

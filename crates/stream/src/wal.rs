@@ -20,13 +20,11 @@
 //! **monotone sequence number** (not the epoch index — recovery opens a
 //! fresh segment while older ones still hold the authoritative tail):
 //!
-//! * **Segment header** — magic `BDWL`, format version, a length-prefixed
-//!   body (spec stamp with the seed, service *geometry* stamp, sequence
-//!   number, the offered-stream position the segment starts at), and a
-//!   CRC-32C over everything before it (Castagnoli — the log checksums
-//!   every dispatched cell, so the polynomial is the one x86's `crc32`
-//!   instruction accelerates; snapshots keep their original CRC-32).
-//! * **Records** — one length-prefixed, CRC-framed record per dispatched
+//! * **Segment header** — one sealed `BDWL` envelope ([`crate::frame`])
+//!   whose body stamps the spec (seed included), the service *geometry*,
+//!   the sequence number, and the offered-stream position the segment
+//!   starts at.
+//! * **Records** — one record frame ([`crate::frame`]) per dispatched
 //!   grid cell: the offered position the cell starts at, then either the
 //!   cell's updates verbatim ([`WalCell::Batch`]) or — under the `drop`
 //!   overflow policy — the shed cell's count and mass
@@ -62,9 +60,10 @@
 //! file sync plus one directory sync (`DESIGN.md §14` states the full
 //! durability matrix).
 
-use crate::persist::{crc32c, fault::FaultInjector, sync_dir, PersistError};
+use crate::frame;
+use crate::persist::{fault::FaultInjector, sync_dir, PersistError};
 use crate::spec::SpecError;
-use crate::state::{StateReader, StateWriter};
+use crate::state::{StateError, StateReader, StateWriter};
 use crate::update::Update;
 use std::fmt;
 use std::fs;
@@ -83,11 +82,20 @@ pub const WAL_MAGIC: [u8; 4] = *b"BDWL";
 /// contract for any layout change.
 pub const WAL_VERSION: u16 = 1;
 
-/// Hard cap on one record frame's body — a dispatched grid cell is
-/// `chunk` updates (17 bytes each encoded), so even absurd chunk sizes
-/// fit well under this; a corrupt length header is rejected before it can
-/// demand an absurd allocation.
+/// Hard cap on one record frame's body (and on the segment header's): a
+/// corrupt length header is rejected before it can demand an absurd
+/// allocation. The writer refuses bodies over it, and
+/// [`ServiceConfig`](crate::service::ServiceConfig) refuses a logged
+/// `chunk` above [`MAX_WAL_CHUNK`].
 pub const MAX_WAL_RECORD: usize = 1 << 24;
+
+/// Bytes of a `Batch` record body before its updates: offered position,
+/// kind tag, update count.
+const BATCH_HEAD: usize = 8 + 1 + 4;
+
+/// The largest cell a `Batch` record can log without exceeding
+/// [`MAX_WAL_RECORD`] (16 bytes per update).
+pub const MAX_WAL_CHUNK: usize = (MAX_WAL_RECORD - BATCH_HEAD) / 16;
 
 /// When the log reaches disk — the `wal=` value in the service config
 /// grammar.
@@ -181,17 +189,15 @@ impl WalRecord {
         self.offered + self.len() as u64
     }
 
-    /// The exact framed size [`encode_record`] will produce, without
+    /// The exact framed size [`encode_record_into`] will produce, without
     /// encoding — the async append path reports bytes-appended from the
     /// dispatch thread while the logger thread does the encoding.
     pub fn encoded_frame_len(&self) -> u64 {
-        let body = 8
-            + 1
-            + match &self.cell {
-                WalCell::Batch(updates) => 4 + 16 * updates.len() as u64,
-                WalCell::Shed { .. } => 4 + 8,
-            };
-        4 + body + 4
+        let body = match &self.cell {
+            WalCell::Batch(updates) => BATCH_HEAD + 16 * updates.len(),
+            WalCell::Shed { .. } => 8 + 1 + 4 + 8,
+        };
+        (4 + body + 4) as u64
     }
 }
 
@@ -205,7 +211,7 @@ pub enum WalDamage {
     /// A frame's length header is zero or exceeds [`MAX_WAL_RECORD`]
     /// (corruption that would otherwise demand an absurd allocation).
     BadLength,
-    /// A frame's CRC-32 doesn't match its body (bit flips, torn writes
+    /// A frame's checksum doesn't match its body (bit flips, torn writes
     /// that happen to leave the length intact).
     Checksum,
     /// The frame's body decoded to no valid record.
@@ -309,101 +315,79 @@ pub fn wal_segments(dir: impl AsRef<Path>) -> Result<Vec<(u64, PathBuf)>, Persis
     Ok(out)
 }
 
-fn encode_header(spec: &str, config: &str, seq: u64, start_offered: u64) -> Vec<u8> {
+fn encode_header(
+    spec: &str,
+    config: &str,
+    seq: u64,
+    start_offered: u64,
+) -> Result<Vec<u8>, PersistError> {
     let mut body = StateWriter::new();
     body.str(spec);
     body.str(config);
     body.u64(seq);
     body.u64(start_offered);
-    let body = body.into_bytes();
-    let mut out = Vec::with_capacity(4 + 2 + 4 + body.len() + 4);
-    out.extend_from_slice(&WAL_MAGIC);
-    out.extend_from_slice(&WAL_VERSION.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
-    let crc = crc32c(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+    frame::seal(WAL_MAGIC, WAL_VERSION, &body.into_bytes(), MAX_WAL_RECORD)
 }
 
-/// Encode one record as a framed byte string: `u32` body length, body,
-/// CRC-32C over the body.
-pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let mut out = Vec::new();
-    encode_record_into(&mut out, rec);
-    out
-}
-
-/// [`encode_record`] into a caller-owned buffer (cleared first). The
-/// writer reuses one buffer across appends: a fresh ~64 KiB `Vec` per
-/// dispatched cell is allocator traffic and fresh-page faults on the
-/// hot path, for bytes that are discarded as soon as they hit the file.
-pub fn encode_record_into(out: &mut Vec<u8>, rec: &WalRecord) {
+/// Encode one record into `out` (cleared first) as a record frame
+/// ([`frame::write_record`]). The writer reuses one buffer across appends:
+/// a fresh ~64 KiB `Vec` per dispatched cell is allocator traffic and
+/// fresh-page faults on the hot path, for bytes that are discarded as soon
+/// as they hit the file. A body over [`MAX_WAL_RECORD`] is refused with
+/// [`PersistError::Oversized`].
+pub fn encode_record_into(out: &mut Vec<u8>, rec: &WalRecord) -> Result<(), PersistError> {
     out.clear();
-    out.extend_from_slice(&[0u8; 4]); // body length, backpatched below
-    out.extend_from_slice(&rec.offered.to_le_bytes());
-    match &rec.cell {
-        WalCell::Batch(updates) => {
-            out.push(1);
-            out.extend_from_slice(&(updates.len() as u32).to_le_bytes());
-            #[cfg(target_endian = "little")]
-            {
-                // `Update` is `#[repr(C)] { item: u64, delta: i64 }`, so on
-                // a little-endian target the slice's in-memory bytes are
-                // exactly the wire encoding — one memcpy instead of two
-                // extend calls per update (this runs per dispatched cell
-                // under `wal=batch|epoch`).
-                const _: () = assert!(std::mem::size_of::<Update>() == 16);
-                const _: () = assert!(std::mem::align_of::<Update>() == 8);
-                let raw = unsafe {
-                    std::slice::from_raw_parts(updates.as_ptr().cast::<u8>(), updates.len() * 16)
-                };
-                out.extend_from_slice(raw);
+    frame::write_record(out, MAX_WAL_RECORD, |out| {
+        out.extend_from_slice(&rec.offered.to_le_bytes());
+        match &rec.cell {
+            WalCell::Batch(updates) => {
+                out.push(1);
+                out.extend_from_slice(&(updates.len() as u32).to_le_bytes());
+                // Sized once, then filled in place: ~3× faster than
+                // extending the buffer update by update.
+                let start = out.len();
+                out.resize(start + 16 * updates.len(), 0);
+                for (slot, u) in out[start..].chunks_exact_mut(16).zip(updates.iter()) {
+                    slot[..8].copy_from_slice(&u.item.to_le_bytes());
+                    slot[8..].copy_from_slice(&u.delta.to_le_bytes());
+                }
             }
-            #[cfg(target_endian = "big")]
-            for u in updates {
-                out.extend_from_slice(&u.item.to_le_bytes());
-                out.extend_from_slice(&u.delta.to_le_bytes());
+            WalCell::Shed { count, mass } => {
+                out.push(2);
+                out.extend_from_slice(&count.to_le_bytes());
+                out.extend_from_slice(&mass.to_le_bytes());
             }
         }
-        WalCell::Shed { count, mass } => {
-            out.push(2);
-            out.extend_from_slice(&count.to_le_bytes());
-            out.extend_from_slice(&mass.to_le_bytes());
-        }
-    }
-    let body_len = out.len() - 4;
-    out[..4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    let crc = crc32c(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    })?;
     debug_assert_eq!(out.len() as u64, rec.encoded_frame_len());
+    Ok(())
 }
 
-fn decode_record_body(body: &[u8]) -> Result<WalRecord, ()> {
+fn decode_record_body(body: &[u8]) -> Result<WalRecord, StateError> {
     let mut r = StateReader::new(body);
-    let offered = r.u64().map_err(|_| ())?;
-    let kind = r.u8().map_err(|_| ())?;
-    let cell = match kind {
+    let offered = r.u64()?;
+    let cell = match r.u8()? {
         1 => {
-            let count = r.u32().map_err(|_| ())? as usize;
-            if count.saturating_mul(16) > MAX_WAL_RECORD {
-                return Err(());
+            let count = r.u32()? as usize;
+            // A lying count cannot reserve more than the body holds.
+            if count > r.remaining() / 16 {
+                return Err(StateError::Truncated);
             }
             let mut updates = Vec::with_capacity(count);
             for _ in 0..count {
-                let item = r.u64().map_err(|_| ())?;
-                let delta = r.i64().map_err(|_| ())?;
+                let item = r.u64()?;
+                let delta = r.i64()?;
                 updates.push(Update { item, delta });
             }
             WalCell::Batch(Arc::new(updates))
         }
         2 => WalCell::Shed {
-            count: r.u32().map_err(|_| ())?,
-            mass: r.u64().map_err(|_| ())?,
+            count: r.u32()?,
+            mass: r.u64()?,
         },
-        _ => return Err(()),
+        _ => return Err(StateError::Corrupt("wal record kind")),
     };
-    r.finish().map_err(|_| ())?;
+    r.finish()?;
     Ok(WalRecord { offered, cell })
 }
 
@@ -414,26 +398,8 @@ fn decode_record_body(body: &[u8]) -> Result<WalRecord, ()> {
 /// of an error. A clean empty segment (header only) is valid.
 pub fn read_segment(path: impl AsRef<Path>) -> Result<SegmentScan, PersistError> {
     let bytes = fs::read(path.as_ref())?;
-    if bytes.len() < 10 || bytes[..4] != WAL_MAGIC {
-        return Err(PersistError::BadMagic);
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-    if version != WAL_VERSION {
-        return Err(PersistError::UnsupportedVersion(version));
-    }
-    let hlen = u32::from_le_bytes(bytes[6..10].try_into().unwrap()) as usize;
-    if hlen > MAX_WAL_RECORD {
-        return Err(PersistError::Oversized(hlen as u64));
-    }
-    let header_end = 10 + hlen;
-    if bytes.len() < header_end + 4 {
-        return Err(PersistError::ChecksumMismatch);
-    }
-    let stored = u32::from_le_bytes(bytes[header_end..header_end + 4].try_into().unwrap());
-    if crc32c(&bytes[..header_end]) != stored {
-        return Err(PersistError::ChecksumMismatch);
-    }
-    let mut hr = StateReader::new(&bytes[10..header_end]);
+    let (head, mut rest) = frame::unseal(&bytes, WAL_MAGIC, WAL_VERSION, MAX_WAL_RECORD)?;
+    let mut hr = StateReader::new(head);
     let header = SegmentHeader {
         spec: hr.str()?,
         config: hr.str()?,
@@ -443,57 +409,25 @@ pub fn read_segment(path: impl AsRef<Path>) -> Result<SegmentScan, PersistError>
     hr.finish()?;
 
     let mut records = Vec::new();
-    let mut pos = header_end + 4;
     let mut truncation = None;
-    while pos < bytes.len() {
-        let valid_len = pos as u64;
-        let Some(len_bytes) = bytes.get(pos..pos + 4) else {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::TornFrame,
-            });
-            break;
-        };
-        let len = u32::from_le_bytes(len_bytes.try_into().unwrap()) as usize;
-        if len == 0 || len > MAX_WAL_RECORD {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::BadLength,
-            });
-            break;
-        }
-        let Some(body) = bytes.get(pos + 4..pos + 4 + len) else {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::TornFrame,
-            });
-            break;
-        };
-        let Some(crc_bytes) = bytes.get(pos + 4 + len..pos + 8 + len) else {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::TornFrame,
-            });
-            break;
-        };
-        if crc32c(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-            truncation = Some(WalTruncation {
-                valid_len,
-                damage: WalDamage::Checksum,
-            });
-            break;
-        }
-        match decode_record_body(body) {
-            Ok(rec) => records.push(rec),
-            Err(()) => {
+    while !rest.is_empty() {
+        let decoded = frame::read_record(rest, MAX_WAL_RECORD).and_then(|(body, next)| {
+            let rec = decode_record_body(body).map_err(|_| WalDamage::Malformed)?;
+            Ok((rec, next))
+        });
+        match decoded {
+            Ok((rec, next)) => {
+                records.push(rec);
+                rest = next;
+            }
+            Err(damage) => {
                 truncation = Some(WalTruncation {
-                    valid_len,
-                    damage: WalDamage::Malformed,
+                    valid_len: (bytes.len() - rest.len()) as u64,
+                    damage,
                 });
                 break;
             }
         }
-        pos += 8 + len;
     }
     Ok(SegmentScan {
         header,
@@ -531,9 +465,10 @@ fn create_segment(
     start_offered: u64,
     durable: bool,
 ) -> Result<(fs::File, PathBuf), PersistError> {
+    let header = encode_header(spec, config, seq, start_offered)?;
     let path = dir.join(segment_file_name(seq));
     let mut file = fs::File::create(&path)?;
-    file.write_all(&encode_header(spec, config, seq, start_offered))?;
+    file.write_all(&header)?;
     if durable {
         file.sync_all()?;
         sync_dir(dir)?;
@@ -674,7 +609,7 @@ impl WalWriter {
         // so the stats updates below don't fight the borrow checker; the
         // fault early-returns may drop it — those paths are test-only).
         let mut frame = std::mem::take(&mut self.scratch);
-        encode_record_into(&mut frame, rec);
+        encode_record_into(&mut frame, rec)?;
         let action = match &self.fault {
             Some(f) => f.on_append(frame.len()),
             None => AppendAction::WriteAll,
@@ -987,10 +922,29 @@ mod tests {
                 },
             },
         ] {
-            let frame = encode_record(&rec);
-            let body = &frame[4..frame.len() - 4];
+            let mut frame = Vec::new();
+            encode_record_into(&mut frame, &rec).unwrap();
+            let (body, rest) = frame::read_record(&frame, MAX_WAL_RECORD).unwrap();
+            assert!(rest.is_empty());
             assert_eq!(decode_record_body(body).unwrap(), rec);
         }
+    }
+
+    #[test]
+    fn largest_loggable_cell_roundtrips_and_one_more_is_refused() {
+        let dir = tmp("maxcell");
+        let mut w = WalWriter::open(&dir, "s", "c", WalPolicy::Epoch, 0, 0).unwrap();
+        let max = batch(0, MAX_WAL_CHUNK as u64);
+        assert_eq!(w.append(&max).unwrap(), max.encoded_frame_len());
+        // One update more would write a frame the reader rejects as
+        // `BadLength`: the writer refuses it and the file is untouched.
+        let over = batch(MAX_WAL_CHUNK as u64, MAX_WAL_CHUNK as u64 + 1);
+        assert!(matches!(w.append(&over), Err(PersistError::Oversized(_))));
+        drop(w);
+        let scan = read_segment(dir.join(segment_file_name(0))).unwrap();
+        assert!(scan.truncation.is_none());
+        assert_eq!(scan.records, vec![max]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1048,11 +1002,11 @@ mod tests {
         drop(w);
         let path = dir.join(segment_file_name(0));
         let clean = fs::read(&path).unwrap();
-        let frame2 = encode_record(&r2);
-        let first_end = clean.len() - frame2.len();
+        let frame2_len = r2.encoded_frame_len() as usize;
+        let first_end = clean.len() - frame2_len;
 
         // Torn mid-frame: every truncation point inside the final frame.
-        for cut in [1, 3, 5, frame2.len() - 1] {
+        for cut in [1, 3, 5, frame2_len - 1] {
             fs::write(&path, &clean[..first_end + cut]).unwrap();
             let scan = read_segment(&path).unwrap();
             assert_eq!(scan.records, vec![r1.clone()]);
@@ -1069,7 +1023,7 @@ mod tests {
 
         // A bit flip in the final frame's body: checksum damage.
         let mut flipped = clean.clone();
-        let mid = first_end + frame2.len() / 2;
+        let mid = first_end + frame2_len / 2;
         flipped[mid] ^= 0x40;
         fs::write(&path, &flipped).unwrap();
         let scan = read_segment(&path).unwrap();

@@ -50,8 +50,10 @@
 //!
 //! [`QueryView::stamp`]: crate::query::QueryView::stamp
 
+use crate::state::{StateError, StateReader};
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 
 /// Hard cap on a frame's payload (kind + body), requests and responses
 /// alike. Generous for every legitimate message (a 64k-item batch response
@@ -203,59 +205,15 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Strict little-endian reader over a frame body.
-struct Reader<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn new(data: &'a [u8]) -> Self {
-        Reader { data }
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.data.len() < n {
-            return Err(WireError::Truncated);
-        }
-        let (head, tail) = self.data.split_at(n);
-        self.data = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.bytes(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.bytes(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// A count prefix, validated against the bytes each element needs.
-    fn count(&mut self, elem_bytes: usize) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(elem_bytes) > MAX_FRAME {
-            return Err(WireError::Oversized(n as u64));
-        }
-        Ok(n)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.data.is_empty() {
-            Ok(())
-        } else {
-            Err(WireError::TrailingBytes(self.data.len()))
+impl From<StateError> for WireError {
+    fn from(e: StateError) -> Self {
+        match e {
+            StateError::Truncated => WireError::Truncated,
+            StateError::TrailingBytes(n) => WireError::TrailingBytes(n),
+            StateError::Oversized(n) => WireError::Oversized(n),
+            // The one validated field a frame carries is an error
+            // message, checked for UTF-8.
+            StateError::Corrupt(_) => WireError::BadUtf8,
         }
     }
 }
@@ -289,12 +247,12 @@ impl Request {
 
     /// Strictly decode a frame payload (kind byte + body).
     pub fn decode(frame: &[u8]) -> Result<Request, WireError> {
-        let mut r = Reader::new(frame);
+        let mut r = StateReader::new(frame);
         let kind = r.u8()?;
         let req = match kind {
             0x01 => Request::Point { item: r.u64()? },
             0x02 => {
-                let n = r.count(8)?;
+                let n = r.count(8, MAX_FRAME)?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     items.push(r.u64()?);
@@ -367,17 +325,21 @@ impl Response {
             Response::Error { code, message } => {
                 buf.push(0xEE);
                 buf.push(*code as u8);
-                let msg = message.as_bytes();
-                let len = msg.len().min(u16::MAX as usize);
+                // Cut an over-long message at a char boundary, so the
+                // frame still decodes as UTF-8.
+                let mut len = message.len().min(u16::MAX as usize);
+                while !message.is_char_boundary(len) {
+                    len -= 1;
+                }
                 buf.extend_from_slice(&(len as u16).to_le_bytes());
-                buf.extend_from_slice(&msg[..len]);
+                buf.extend_from_slice(&message.as_bytes()[..len]);
             }
         }
     }
 
     /// Strictly decode a frame payload (kind byte + body).
     pub fn decode(frame: &[u8]) -> Result<Response, WireError> {
-        let mut r = Reader::new(frame);
+        let mut r = StateReader::new(frame);
         let kind = r.u8()?;
         let resp = match kind {
             0x81 => Response::Point {
@@ -386,7 +348,7 @@ impl Response {
             },
             0x82 => {
                 let stamp = r.u64()?;
-                let n = r.count(8)?;
+                let n = r.count(8, MAX_FRAME)?;
                 let mut estimates = Vec::with_capacity(n);
                 for _ in 0..n {
                     estimates.push(r.f64()?);
@@ -399,7 +361,7 @@ impl Response {
             },
             0x84 => {
                 let stamp = r.u64()?;
-                let n = r.count(16)?;
+                let n = r.count(16, MAX_FRAME)?;
                 let mut hitters = Vec::with_capacity(n);
                 for _ in 0..n {
                     hitters.push((r.u64()?, r.f64()?));
@@ -424,11 +386,7 @@ impl Response {
             0x86 => Response::ShutdownAck,
             0xEE => {
                 let code = ErrorCode::from_u8(r.u8()?)?;
-                let len = r.u16()? as usize;
-                let bytes = r.bytes(len)?;
-                let message = std::str::from_utf8(bytes)
-                    .map_err(|_| WireError::BadUtf8)?
-                    .to_string();
+                let message = r.str()?;
                 Response::Error { code, message }
             }
             other => return Err(WireError::UnknownKind(other)),
@@ -453,32 +411,26 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// Idle read ticks a peer may sit mid-frame after the stop flag rises
+/// before [`read_frame`] gives up on it (~1 s at the server's 50 ms read
+/// timeout).
+const DRAIN_TICKS: u32 = 20;
+
 /// Read one frame's payload into `buf` (cleared and resized). Returns
 /// `Ok(false)` on clean EOF at a frame boundary (the peer closed between
-/// messages); a length prefix of zero or above [`MAX_FRAME`] is
+/// messages) or when `stop` is up between frames. A read timeout is a
+/// polling tick: between frames it rechecks `stop`; mid-frame, the peer
+/// gets [`DRAIN_TICKS`] ticks after `stop` rises before the read fails
+/// with `TimedOut`. A length prefix of zero or above [`MAX_FRAME`] is
 /// `InvalidData` (malformed peer — close the connection); EOF mid-frame is
 /// `UnexpectedEof`.
-pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
-    let mut len_bytes = [0u8; 4];
-    // A clean close lands here with zero bytes read.
-    let mut filled = 0;
-    while filled < 4 {
-        match r.read(&mut len_bytes[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame length prefix",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
+pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>, stop: &AtomicBool) -> io::Result<bool> {
+    let mut idle = 0;
+    let mut len = [0u8; 4];
+    if !fill(r, &mut len, stop, &mut idle, true)? {
+        return Ok(false);
     }
-    let len = u32::from_le_bytes(len_bytes) as usize;
+    let len = u32::from_le_bytes(len) as usize;
     if len == 0 || len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -487,7 +439,48 @@ pub fn read_frame<R: Read>(r: &mut R, buf: &mut Vec<u8>) -> io::Result<bool> {
     }
     buf.clear();
     buf.resize(len, 0);
-    r.read_exact(buf)?;
+    fill(r, buf, stop, &mut idle, false)?;
+    Ok(true)
+}
+
+/// Fill `out` for [`read_frame`]. With `at_boundary`, a close or a raised
+/// `stop` before the first byte is `Ok(false)`; past it, a close is
+/// `UnexpectedEof`.
+fn fill<R: Read>(
+    r: &mut R,
+    out: &mut [u8],
+    stop: &AtomicBool,
+    idle: &mut u32,
+    at_boundary: bool,
+) -> io::Result<bool> {
+    let mut filled = 0;
+    while filled < out.len() {
+        let between_frames = at_boundary && filled == 0;
+        if between_frames && stop.load(SeqCst) {
+            return Ok(false);
+        }
+        match r.read(&mut out[filled..]) {
+            Ok(0) if between_frames => return Ok(false),
+            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+            Ok(n) => filled += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                if stop.load(SeqCst) {
+                    *idle += 1;
+                    if *idle > DRAIN_TICKS {
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
     Ok(true)
 }
 
@@ -558,6 +551,23 @@ mod tests {
             code: ErrorCode::Unsupported,
             message: "no norm view".into(),
         });
+        // An over-long message is cut to the last char boundary within
+        // the u16 length, so it still decodes.
+        let long = "é".repeat(40_000);
+        let mut buf = Vec::new();
+        Response::Error {
+            code: ErrorCode::BadRequest,
+            message: long.clone(),
+        }
+        .encode(&mut buf);
+        response_roundtrip(Response::decode(&buf).unwrap());
+        match Response::decode(&buf).unwrap() {
+            Response::Error { message, .. } => {
+                assert_eq!(message.len(), u16::MAX as usize - 1);
+                assert!(long.starts_with(&message));
+            }
+            other => panic!("wrong kind: {other:?}"),
+        }
     }
 
     #[test]
@@ -637,37 +647,47 @@ mod tests {
 
         let mut r = &wire[..];
         let mut buf = Vec::new();
-        assert!(read_frame(&mut r, &mut buf).unwrap());
+        let stop = AtomicBool::new(false);
+        assert!(read_frame(&mut r, &mut buf, &stop).unwrap());
         assert_eq!(Request::decode(&buf), Ok(Request::Norm));
-        assert!(read_frame(&mut r, &mut buf).unwrap());
+        assert!(read_frame(&mut r, &mut buf, &stop).unwrap());
         assert_eq!(Request::decode(&buf), Ok(Request::Point { item: 3 }));
         // Clean EOF at the frame boundary.
-        assert!(!read_frame(&mut r, &mut buf).unwrap());
+        assert!(!read_frame(&mut r, &mut buf, &stop).unwrap());
     }
 
     #[test]
     fn oversized_and_zero_length_prefixes_are_io_errors() {
         let mut buf = Vec::new();
+        let stop = AtomicBool::new(false);
         let huge = ((MAX_FRAME + 1) as u32).to_le_bytes();
         assert_eq!(
-            read_frame(&mut &huge[..], &mut buf).unwrap_err().kind(),
+            read_frame(&mut &huge[..], &mut buf, &stop)
+                .unwrap_err()
+                .kind(),
             io::ErrorKind::InvalidData
         );
         let zero = 0u32.to_le_bytes();
         assert_eq!(
-            read_frame(&mut &zero[..], &mut buf).unwrap_err().kind(),
+            read_frame(&mut &zero[..], &mut buf, &stop)
+                .unwrap_err()
+                .kind(),
             io::ErrorKind::InvalidData
         );
         // EOF mid-prefix and mid-body.
         let partial = [0x01u8, 0x00];
         assert_eq!(
-            read_frame(&mut &partial[..], &mut buf).unwrap_err().kind(),
+            read_frame(&mut &partial[..], &mut buf, &stop)
+                .unwrap_err()
+                .kind(),
             io::ErrorKind::UnexpectedEof
         );
         let mut short = 8u32.to_le_bytes().to_vec();
         short.push(0x03);
         assert_eq!(
-            read_frame(&mut &short[..], &mut buf).unwrap_err().kind(),
+            read_frame(&mut &short[..], &mut buf, &stop)
+                .unwrap_err()
+                .kind(),
             io::ErrorKind::UnexpectedEof
         );
         // Writing an oversized payload is refused before any bytes move.

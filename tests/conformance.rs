@@ -678,4 +678,42 @@ fn adversarial_snapshot_decodes_are_typed_errors() {
         decode_snapshot(registry(), &huge).unwrap_err(),
         PersistError::Oversized(u32::MAX as u64)
     );
+
+    // The three envelopes share one framing, so each must refuse the
+    // others by magic. A sealed WAL segment header is not a snapshot...
+    let dir = std::env::temp_dir().join(format!("bd-conf-envelopes-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    drop(
+        WalWriter::open(
+            &dir,
+            &spec.to_string(),
+            "service:test",
+            WalPolicy::Epoch,
+            0,
+            0,
+        )
+        .unwrap(),
+    );
+    let (_, segment) = bd_stream::wal_segments(&dir).unwrap().remove(0);
+    assert_eq!(
+        decode_snapshot(registry(), &std::fs::read(&segment).unwrap()).unwrap_err(),
+        PersistError::BadMagic
+    );
+    // ...a snapshot image is not a WAL segment...
+    std::fs::write(&segment, &file).unwrap();
+    assert_eq!(
+        bd_stream::read_segment(&segment).unwrap_err(),
+        PersistError::BadMagic
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    // ...and the sketch blob, sealed like the others, is checksummed.
+    let mut flipped = blob.clone();
+    let mid = blob.len() / 2;
+    flipped[mid] ^= 0x08;
+    assert_eq!(
+        sketch_from_bytes(registry(), &flipped)
+            .map(|_| ())
+            .unwrap_err(),
+        PersistError::ChecksumMismatch
+    );
 }
