@@ -33,7 +33,7 @@ struct IngestScratch {
     plan: RowHashes,
     buckets: Vec<u64>,
     signs: Vec<bool>,
-    /// Per-item row estimates for the multi-point query path.
+    /// Per-item row estimates for the median readouts.
     ests: Vec<f64>,
 }
 
@@ -53,6 +53,44 @@ impl CsssRow {
                 *c = bin_half(rng, *c);
             }
         }
+    }
+}
+
+/// Evaluate every row's bucket and sign hashes over the loaded chunk into
+/// row-major `buckets` / `signs` (both cleared first).
+fn hash_rows(rows: &[CsssRow], plan: &RowHashes, buckets: &mut Vec<u64>, signs: &mut Vec<bool>) {
+    buckets.clear();
+    signs.clear();
+    for row in rows {
+        plan.append_buckets(&row.h, buckets);
+        plan.append_signs(&row.g, signs);
+    }
+}
+
+/// The median-of-rows readout for `m` items whose hashes [`hash_rows`] laid
+/// out row-major: per item, each row's scaled `g·(a⁺ − a⁻)` goes into the
+/// reused `ests` buffer and its median is appended to `out`. The same float
+/// operations in the same order as [`Csss::row_estimate`] and
+/// [`Csss::estimate`].
+fn median_readout(
+    rows: &[CsssRow],
+    scale: f64,
+    m: usize,
+    buckets: &[u64],
+    signs: &[bool],
+    ests: &mut Vec<f64>,
+    out: &mut Vec<f64>,
+) {
+    out.reserve(m);
+    for idx in 0..m {
+        ests.clear();
+        for (r, row) in rows.iter().enumerate() {
+            let b = buckets[r * m + idx] as usize;
+            let raw = row.pos[b] as f64 - row.neg[b] as f64;
+            let signed = if signs[r * m + idx] { raw } else { -raw };
+            ests.push(signed * scale);
+        }
+        out.push(bd_sketch::median_f64(ests));
     }
 }
 
@@ -206,12 +244,7 @@ impl Csss {
             ..
         } = scratch;
         plan.load(agg.iter().map(|&(item, _, _)| item));
-        buckets.clear();
-        signs.clear();
-        for row in rows.iter() {
-            plan.append_buckets(&row.h, buckets);
-            plan.append_signs(&row.g, signs);
-        }
+        hash_rows(rows, plan, buckets, signs);
         let m = plan.len();
         for (idx, &(_, pos, neg)) in agg.iter().enumerate() {
             for (weight, positive) in [(pos, true), (neg, false)] {
@@ -262,6 +295,27 @@ impl Csss {
         bd_sketch::median_f64(&mut ests)
     }
 
+    /// [`Csss::update_aggregated`], then each chunk item's post-update
+    /// point estimate into `out` (cleared, positional with `agg`), read
+    /// from the bucket and sign rows the update already hashed: the chunk's
+    /// items are hashed once for both. Bit-identical per item to
+    /// [`Csss::estimate`] after the update.
+    pub fn update_aggregated_estimates(&mut self, agg: &[(u64, u64, u64)], out: &mut Vec<f64>) {
+        out.clear();
+        if agg.is_empty() {
+            return;
+        }
+        self.update_aggregated(agg);
+        let scale = self.scale();
+        let IngestScratch {
+            buckets,
+            signs,
+            ests,
+            ..
+        } = &mut self.scratch;
+        median_readout(&self.rows, scale, agg.len(), buckets, signs, ests, out);
+    }
+
     /// Point estimates for a whole set of items in one batched hash pass:
     /// every row's bucket and sign polynomials are evaluated over all of
     /// `items` through the chunk engine, then each item's median-of-rows is
@@ -269,40 +323,18 @@ impl Csss {
     /// Bit-identical per item to [`Csss::estimate`] (same float operations
     /// in the same order); `&mut self` only for the reusable scratch.
     pub fn estimate_many(&mut self, items: &[u64], out: &mut Vec<f64>) {
-        let Self {
-            rows,
-            scratch,
-            level,
-            ..
-        } = self;
+        let scale = self.scale();
         let IngestScratch {
             plan,
             buckets,
             signs,
             ests,
             ..
-        } = scratch;
+        } = &mut self.scratch;
         plan.load(items.iter().copied());
-        buckets.clear();
-        signs.clear();
-        for row in rows.iter() {
-            plan.append_buckets(&row.h, buckets);
-            plan.append_signs(&row.g, signs);
-        }
-        let m = items.len();
-        let scale = (*level as f64).exp2();
+        hash_rows(&self.rows, plan, buckets, signs);
         out.clear();
-        out.reserve(m);
-        for idx in 0..m {
-            ests.clear();
-            for (r, row) in rows.iter().enumerate() {
-                let b = buckets[r * m + idx] as usize;
-                let raw = row.pos[b] as f64 - row.neg[b] as f64;
-                let signed = if signs[r * m + idx] { raw } else { -raw };
-                ests.push(signed * scale);
-            }
-            out.push(bd_sketch::median_f64(ests));
-        }
+        median_readout(&self.rows, scale, items.len(), buckets, signs, ests, out);
     }
 
     /// [`Csss::estimate_many`] without the sketch-resident scratch: the hash
@@ -314,26 +346,18 @@ impl Csss {
     pub fn estimate_many_shared(&self, items: &[u64], out: &mut Vec<f64>) {
         let mut plan = RowHashes::default();
         plan.load(items.iter().copied());
-        let mut buckets = Vec::new();
-        let mut signs = Vec::new();
-        for row in self.rows.iter() {
-            plan.append_buckets(&row.h, &mut buckets);
-            plan.append_signs(&row.g, &mut signs);
-        }
-        let m = items.len();
-        let scale = self.scale();
+        let (mut buckets, mut signs) = (Vec::new(), Vec::new());
+        hash_rows(&self.rows, &plan, &mut buckets, &mut signs);
         let mut ests = Vec::with_capacity(self.rows.len());
-        out.reserve(m);
-        for idx in 0..m {
-            ests.clear();
-            for (r, row) in self.rows.iter().enumerate() {
-                let b = buckets[r * m + idx] as usize;
-                let raw = row.pos[b] as f64 - row.neg[b] as f64;
-                let signed = if signs[r * m + idx] { raw } else { -raw };
-                ests.push(signed * scale);
-            }
-            out.push(bd_sketch::median_f64(&mut ests));
-        }
+        median_readout(
+            &self.rows,
+            self.scale(),
+            items.len(),
+            &buckets,
+            &signs,
+            &mut ests,
+            out,
+        );
     }
 
     /// `‖row residual‖₂` after subtracting a sparse vector `yhat` from the

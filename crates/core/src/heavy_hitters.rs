@@ -39,8 +39,11 @@ pub struct AlphaHeavyHitters {
     norm: NormTracker,
     epsilon: f64,
     universe: u64,
-    /// Reusable chunk-aggregation scratch (no sketch state).
+    /// Reusable chunk scratch (no sketch state): the aggregation table,
+    /// and the chunk's distinct items with their post-update estimates.
     agg: BatchScratch,
+    chunk: Vec<u64>,
+    scores: Vec<f64>,
 }
 
 impl AlphaHeavyHitters {
@@ -68,6 +71,8 @@ impl AlphaHeavyHitters {
             epsilon: params.epsilon,
             universe: params.n,
             agg: BatchScratch::default(),
+            chunk: Vec::new(),
+            scores: Vec::new(),
         }
     }
 
@@ -125,13 +130,15 @@ impl Sketch for AlphaHeavyHitters {
     /// Batched ingestion: the chunk is aggregated into per-item signed mass
     /// once (reusable table — the same aggregation feeds all three
     /// components), then (1) CSSS absorbs the whole chunk through its
-    /// batched hash pass ([`Csss::update_aggregated`]), (2) the norm
-    /// tracker absorbs per-item net deltas (it is linear), (3) the
-    /// candidate set is offered each distinct item once, after the counters
-    /// settle — prune passes trigger exactly as under per-item offers, but
-    /// each pass scores the whole set through one
-    /// [`Csss::estimate_many`] batched hash pass instead of `2·cap` scalar
-    /// point queries.
+    /// batched hash pass and reads each distinct item's settled estimate
+    /// from the rows that pass hashed ([`Csss::update_aggregated_estimates`]),
+    /// (2) the norm tracker absorbs per-item net deltas (it is linear),
+    /// (3) the candidate set is offered each distinct item once with that
+    /// score ([`CandidateSet::offer_scored`]). Estimates cannot change while
+    /// the chunk is offered, so the set equals per-item offers after the
+    /// counters settle, yet every item is scored at most once per chunk:
+    /// members carried over from earlier chunks cost one
+    /// [`Csss::estimate_many`] call, and only if a prune pass needs them.
     fn update_batch(&mut self, batch: &[Update]) {
         let mut scratch = std::mem::take(&mut self.agg);
         let agg = scratch.aggregate_signed_mass(batch);
@@ -139,7 +146,7 @@ impl Sketch for AlphaHeavyHitters {
             self.agg = scratch;
             return;
         }
-        self.csss.update_aggregated(agg);
+        self.csss.update_aggregated_estimates(agg, &mut self.scores);
         match &mut self.norm {
             NormTracker::Strict { net } => {
                 *net += agg
@@ -156,10 +163,12 @@ impl Sketch for AlphaHeavyHitters {
                 }
             }
         }
+        self.chunk.clear();
+        self.chunk.extend(agg.iter().map(|&(item, _, _)| item));
         let csss = &mut self.csss;
         self.candidates
-            .offer_chunk(agg.iter().map(|&(item, _, _)| item), |items, out| {
-                csss.estimate_many(items, out)
+            .offer_scored(&self.chunk, &self.scores, |rest, out| {
+                csss.estimate_many(rest, out)
             });
         self.agg = scratch;
     }
@@ -183,9 +192,11 @@ impl Mergeable for AlphaHeavyHitters {
     /// Fold a shard's sketch in: CSSS counters merge (thinning-aware), the
     /// norm tracker merges (exact net addition for the strict variant,
     /// row-wise Cauchy addition for the general one), and the shard's
-    /// candidate set is unioned in — each candidate re-offered against the
-    /// *merged* CSSS, so prune decisions use post-merge estimates. Both
-    /// sides must be identically seeded and the same variant.
+    /// candidate set is unioned in — its candidates re-offered in item
+    /// order against the *merged* CSSS
+    /// ([`CandidateSet::merge_scored`]), so prune decisions use post-merge
+    /// estimates and the result never depends on storage order. Both sides
+    /// must be identically seeded and the same variant.
     fn merge_from(&mut self, other: &Self) {
         assert!(
             self.epsilon == other.epsilon && self.universe == other.universe,
@@ -205,10 +216,11 @@ impl Mergeable for AlphaHeavyHitters {
             (NormTracker::General(m), NormTracker::General(o)) => m.merge_from(o),
             _ => unreachable!("variant match asserted above"),
         }
-        let csss = &self.csss;
-        for item in other.candidates.iter() {
-            self.candidates.offer(item, |i| csss.estimate(i));
-        }
+        let csss = &mut self.csss;
+        self.candidates
+            .merge_scored(&other.candidates, |items, out| {
+                csss.estimate_many(items, out)
+            });
     }
 }
 
@@ -377,6 +389,69 @@ mod tests {
         let mut strict = AlphaHeavyHitters::new_strict(1, &params);
         let general = AlphaHeavyHitters::new_general(1, &params);
         strict.merge_from(&general);
+    }
+
+    fn sorted_candidates(hh: &AlphaHeavyHitters) -> Vec<u64> {
+        let mut v: Vec<u64> = hh.candidates.iter().collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn batched_offer_equals_per_item_offers_after_every_chunk() {
+        // ε = 0.2 and α = 1.5 give a 6,750-unit sample budget: the Zipf
+        // stream thins, and each chunk spans several prune passes.
+        let stream = BoundedDeletionGen::new(1 << 12, 100_000, 1.5).generate_seeded(90);
+        let params = Params::practical(stream.n, 0.2, 1.5);
+        for strict in [true, false] {
+            let mut hh = if strict {
+                AlphaHeavyHitters::new_strict(91, &params)
+            } else {
+                AlphaHeavyHitters::new_general(91, &params)
+            };
+            let mut scratch = BatchScratch::default();
+            for chunk in stream.updates.chunks(StreamRunner::DEFAULT_CHUNK) {
+                let mut reference = hh.clone();
+                hh.update_batch(chunk);
+                // The reference: settle the counters, then offer the
+                // chunk's distinct items one at a time, scored by scalar
+                // point queries.
+                let agg = scratch.aggregate_signed_mass(chunk);
+                reference.csss.update_aggregated(agg);
+                let csss = &reference.csss;
+                for &(item, _, _) in agg {
+                    reference.candidates.offer(item, |i| csss.estimate(i));
+                }
+                assert_eq!(sorted_candidates(&hh), sorted_candidates(&reference));
+            }
+            assert!(hh.csss.level() > 0, "the stream must reach thinning");
+        }
+    }
+
+    #[test]
+    fn merges_of_identical_shard_pairs_save_identical_bytes() {
+        let stream = BoundedDeletionGen::new(1 << 12, 60_000, 4.0).generate_seeded(80);
+        let params = Params::practical(stream.n, 0.1, 4.0);
+        let half = stream.len() / 2;
+        for strict in [true, false] {
+            let merged_bytes = || {
+                let build = || {
+                    if strict {
+                        AlphaHeavyHitters::new_strict(81, &params)
+                    } else {
+                        AlphaHeavyHitters::new_general(81, &params)
+                    }
+                };
+                let (mut a, mut b) = (build(), build());
+                StreamRunner::new().run_updates(&mut a, &stream.updates[..half]);
+                StreamRunner::new().run_updates(&mut b, &stream.updates[half..]);
+                a.merge_from(&b);
+                let mut w = StateWriter::new();
+                a.save_state(&mut w);
+                w.into_bytes()
+            };
+            assert_eq!(merged_bytes(), merged_bytes(), "strict={strict}");
+        }
     }
 
     #[test]

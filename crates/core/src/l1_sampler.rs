@@ -37,6 +37,10 @@ pub struct AlphaL1SamplerInstance {
     r: i64,
     /// Figure 3's `q = ‖z‖₁` (exact, in quantized z-units).
     q: u64,
+    /// Reusable chunk scratch (no sketch state): the chunk's distinct items
+    /// and their post-update `cs1` estimates.
+    chunk: Vec<u64>,
+    scores: Vec<f64>,
 }
 
 impl AlphaL1SamplerInstance {
@@ -56,6 +60,8 @@ impl AlphaL1SamplerInstance {
             universe: params.n,
             r: 0,
             q: 0,
+            chunk: Vec::new(),
+            scores: Vec::new(),
         }
     }
 
@@ -86,10 +92,11 @@ impl AlphaL1SamplerInstance {
     /// sample budget (under thinning, one summed `Bin` draw replaces the
     /// per-update draws: statistically equivalent, as for CSSS's own batch
     /// override). Candidates are offered once per distinct item after the
-    /// counters settle — identical candidate-set semantics, a fraction of
-    /// the point-query evaluations (the `AlphaHeavyHitters` recipe; the
-    /// offer timing is why the override is declared statistical even
-    /// without thinning).
+    /// counters settle, scored by one [`Csss::estimate_many`] pass through
+    /// [`CandidateSet::offer_scored`] — identical candidate-set semantics,
+    /// a fraction of the point-query evaluations (the `AlphaHeavyHitters`
+    /// recipe; the offer timing is why the override is declared
+    /// statistical even without thinning).
     fn apply_grouped(&mut self, grouped: &[(u64, Vec<i64>)]) {
         for (item, deltas) in grouped {
             let inv_t = self.ts.inv_t(*item);
@@ -114,10 +121,14 @@ impl AlphaL1SamplerInstance {
                 self.q += wneg;
             }
         }
-        let cs = &self.cs1;
-        for (item, _) in grouped {
-            self.candidates.offer(*item, |i| cs.estimate(i));
-        }
+        self.chunk.clear();
+        self.chunk.extend(grouped.iter().map(|(item, _)| *item));
+        self.cs1.estimate_many(&self.chunk, &mut self.scores);
+        let cs = &mut self.cs1;
+        self.candidates
+            .offer_scored(&self.chunk, &self.scores, |rest, out| {
+                cs.estimate_many(rest, out)
+            });
     }
 
     /// Figure 3's Recovery step.
@@ -197,8 +208,9 @@ impl Mergeable for AlphaL1SamplerInstance {
     /// Fold a shard's instance in: both CSSS substrates merge
     /// (thinning-aware, exact below the sample budget), the exact `r = ‖f‖₁`
     /// and `q = ‖z‖₁` registers add, and the shard's candidates are
-    /// re-offered against the *merged* CSSS so prune decisions use
-    /// post-merge estimates (the `AlphaHeavyHitters` recipe). Both sides
+    /// re-offered in item order against the *merged* CSSS so prune
+    /// decisions use post-merge estimates and never depend on storage
+    /// order (the `AlphaHeavyHitters` recipe). Both sides
     /// must be identically seeded — the scaling hashes `t_i` then coincide,
     /// which is what makes `z` well-defined across shards.
     fn merge_from(&mut self, other: &Self) {
@@ -210,10 +222,9 @@ impl Mergeable for AlphaL1SamplerInstance {
         self.cs2.merge_from(&other.cs2);
         self.r += other.r;
         self.q += other.q;
-        let cs = &self.cs1;
-        for item in other.candidates.iter() {
-            self.candidates.offer(item, |i| cs.estimate(i));
-        }
+        let cs = &mut self.cs1;
+        self.candidates
+            .merge_scored(&other.candidates, |items, out| cs.estimate_many(items, out));
     }
 }
 
@@ -500,6 +511,25 @@ mod tests {
             sampled >= 10,
             "merged sampler almost never outputs: {sampled}/40"
         );
+    }
+
+    #[test]
+    fn merges_of_identical_shard_pairs_save_identical_bytes() {
+        use bd_stream::StreamRunner;
+        let stream = StrongAlphaGen::new(1 << 10, 400, 2.0).generate_seeded(12);
+        let params = Params::practical(1 << 10, 0.25, 2.0).with_delta(0.5);
+        let half = stream.len() / 2;
+        let merged_bytes = || {
+            let mut a = AlphaL1Sampler::new(9, &params);
+            let mut b = AlphaL1Sampler::new(9, &params);
+            StreamRunner::new().run_updates(&mut a, &stream.updates[..half]);
+            StreamRunner::new().run_updates(&mut b, &stream.updates[half..]);
+            a.merge_from(&b);
+            let mut w = StateWriter::new();
+            a.save_state(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(merged_bytes(), merged_bytes());
     }
 
     #[test]
