@@ -7,11 +7,13 @@
 //! weighted update `|Δ| > 1` into `sign(Δ)·Bin(|Δ|, p)` sampled units.
 //!
 //! `Bin(c, 1/2)` is the popcount of `c` fair bits — computed exactly from
-//! random 64-bit words. `Bin(c, 2^{-q})` is `q` iterated halvings (the count
-//! shrinks geometrically, so expected work is `O(c/64 + q)`). Above
-//! [`EXACT_LIMIT`] trials we switch to the normal approximation, whose
-//! total-variation error at that size is far below every failure probability
-//! in the paper (documented substitution, DESIGN.md §3).
+//! random 64-bit words. `Bin(c, 2^{-q})` with `c·q ≤ 64` is one word cut
+//! into `c` groups of `q` bits, counting the all-zero groups; larger `c·q`
+//! takes `q` iterated halvings (the count shrinks geometrically, so expected
+//! work is `O(c/64 + q)`). Above [`EXACT_LIMIT`] trials a halving switches to
+//! the normal approximation, whose total-variation error at that size is far
+//! below every failure probability in the paper (documented substitution,
+//! DESIGN.md §3).
 
 use rand::Rng;
 
@@ -44,8 +46,41 @@ pub fn bin_half<R: Rng + ?Sized>(rng: &mut R, n: u64) -> u64 {
     ones
 }
 
-/// Sample `Bin(n, 2^{-q})` by iterated halving.
+/// `GROUP_LOW[q]`: bit `q·i` set for every group `i` of a 64-bit word cut
+/// into `q`-bit groups (entry 0 unused).
+const GROUP_LOW: [u64; 65] = {
+    let mut table = [0u64; 65];
+    let mut q = 1;
+    while q <= 64 {
+        let mut bit = 0;
+        while bit < 64 {
+            table[q] |= 1 << bit;
+            bit += q;
+        }
+        q += 1;
+    }
+    table
+};
+
+/// Sample `Bin(n, 2^{-q})` exactly (up to [`bin_half`]'s normal
+/// approximation above [`EXACT_LIMIT`]). When `n·q ≤ 64` one random word
+/// is cut into `n` groups of `q` uniform bits and a unit is kept iff its
+/// group is all zero; otherwise `q` iterated halvings.
 pub fn bin_pow2<R: Rng + ?Sized>(rng: &mut R, n: u64, q: u32) -> u64 {
+    if n == 0 || q == 0 {
+        return n;
+    }
+    if n <= 64 && n * q as u64 <= 64 {
+        // Branch-free SWAR count of the zero groups: adding a group's
+        // low-bit mask carries into its top bit iff a low bit is set (and
+        // never out of the group), so a group is zero iff its top bit is
+        // clear in both that sum and the word.
+        let lo = GROUP_LOW[q as usize] & (u64::MAX >> (64 - n * q as u64));
+        let hi = lo << (q - 1);
+        let low_bits = hi - lo;
+        let x = rng.gen::<u64>();
+        return (!(((x & low_bits) + low_bits) | x) & hi).count_ones() as u64;
+    }
     let mut c = n;
     for _ in 0..q {
         if c == 0 {
@@ -54,19 +89,6 @@ pub fn bin_pow2<R: Rng + ?Sized>(rng: &mut R, n: u64, q: u32) -> u64 {
         c = bin_half(rng, c);
     }
     c
-}
-
-/// A single Bernoulli(`2^{-q}`) trial.
-#[inline]
-pub fn coin_pow2<R: Rng + ?Sized>(rng: &mut R, q: u32) -> bool {
-    let mut left = q;
-    while left >= 64 {
-        if rng.gen::<u64>() != 0 {
-            return false;
-        }
-        left -= 64;
-    }
-    left == 0 || rng.gen::<u64>() & ((1u64 << left) - 1) == 0
 }
 
 /// Standard normal via Box–Muller (only used above `EXACT_LIMIT`).
@@ -120,11 +142,13 @@ mod tests {
     }
 
     #[test]
-    fn coin_pow2_rates() {
+    fn single_unit_rates() {
         let mut rng = StdRng::seed_from_u64(4);
         let trials = 200_000;
         for q in [0u32, 1, 3, 6] {
-            let hits = (0..trials).filter(|_| coin_pow2(&mut rng, q)).count();
+            let hits = (0..trials)
+                .filter(|_| bin_pow2(&mut rng, 1, q) == 1)
+                .count();
             let p = hits as f64 / trials as f64;
             let expect = 0.5f64.powi(q as i32);
             assert!(
@@ -133,16 +157,154 @@ mod tests {
             );
         }
         // q = 0 must always sample.
-        assert!(coin_pow2(&mut rng, 0));
+        assert_eq!(bin_pow2(&mut rng, 1, 0), 1);
     }
 
     #[test]
     fn large_q_never_panics() {
         let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..100 {
-            let _ = coin_pow2(&mut rng, 130);
+            assert!(bin_pow2(&mut rng, 1, 130) <= 1);
             assert_eq!(bin_pow2(&mut rng, 10, 200), 0); // overwhelming odds
+            assert_eq!(bin_pow2(&mut rng, 64, u32::MAX), 0);
         }
+    }
+
+    /// A generator that always returns the same word, to drive the one-word
+    /// path with chosen bits.
+    struct Fixed(u64);
+
+    impl rand::RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    /// The all-zero `q`-bit groups among the low `n` groups of `x`, one
+    /// group at a time.
+    fn naive_zero_groups(x: u64, n: u64, q: u32) -> u64 {
+        let group = if q == 64 { u64::MAX } else { (1u64 << q) - 1 };
+        (0..n)
+            .filter(|&i| (x >> (i * q as u64)) & group == 0)
+            .count() as u64
+    }
+
+    /// Every `(q, n)` with `1 ≤ n·q ≤ limit` that takes the one-word path.
+    fn one_word_shapes(limit: u64) -> impl Iterator<Item = (u32, u64)> {
+        (1..=64u32).flat_map(move |q| (1..=limit / q as u64).map(move |n| (q, n)))
+    }
+
+    #[test]
+    fn one_word_draw_is_exact_for_every_small_word() {
+        // Every low `n·q ≤ 16` bit pattern, under random high bits that
+        // must not matter.
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut cases = 0u64;
+        for (q, n) in one_word_shapes(16) {
+            let width = n * q as u64;
+            for low in 0..1u64 << width {
+                let x = low | rng.gen::<u64>() << width;
+                assert_eq!(
+                    bin_pow2(&mut Fixed(x), n, q),
+                    naive_zero_groups(x, n, q),
+                    "q={q} n={n} x={x:#x}"
+                );
+                cases += 1;
+            }
+        }
+        assert!(cases > 300_000, "{cases} cases");
+    }
+
+    #[test]
+    fn one_word_draw_is_exact_on_seeded_sweeps() {
+        // Up to n·q = 64; AND-ing k random words makes zero groups common
+        // even for wide groups.
+        let mut rng = StdRng::seed_from_u64(8);
+        for (q, n) in one_word_shapes(64) {
+            for k in 1..=6 {
+                for _ in 0..400 {
+                    let x = (0..k).fold(u64::MAX, |x, _| x & rng.gen::<u64>());
+                    assert_eq!(
+                        bin_pow2(&mut Fixed(x), n, q),
+                        naive_zero_groups(x, n, q),
+                        "q={q} n={n} x={x:#x}"
+                    );
+                }
+            }
+            // One set bit per group: every group nonzero, and a single
+            // group cleared, at each position and bit offset.
+            for bit in 0..q as u64 {
+                let all = (0..n).fold(0u64, |x, i| x | 1 << (i * q as u64 + bit));
+                assert_eq!(bin_pow2(&mut Fixed(all), n, q), 0);
+                for i in 0..n {
+                    let x = all & !(1 << (i * q as u64 + bit));
+                    assert_eq!(bin_pow2(&mut Fixed(x), n, q), 1, "q={q} n={n} i={i}");
+                }
+            }
+        }
+    }
+
+    /// `P[Bin(n, 2^{-q}) = k]` for every `k ≤ n`.
+    fn binomial_pmf(n: u64, q: u32) -> Vec<f64> {
+        let p = 0.5f64.powi(q as i32);
+        let mut pmf = vec![(1.0 - p).powi(n as i32)];
+        for k in 1..=n {
+            let prev = pmf[k as usize - 1];
+            pmf.push(prev * (n - k + 1) as f64 / k as f64 * p / (1.0 - p));
+        }
+        pmf
+    }
+
+    #[test]
+    fn pmf_matches_exact_binomial_across_the_one_word_boundary() {
+        // n·q ∈ {q, 63, 64, 65}: one unit, the one-word path at and below
+        // a full word, and the first halving shape above it.
+        let mut rng = StdRng::seed_from_u64(9);
+        let trials = 100_000u64;
+        for (n, q) in [
+            (1, 1),
+            (1, 7),
+            (63, 1),
+            (9, 7),
+            (21, 3),
+            (64, 1),
+            (16, 4),
+            (8, 8),
+            (65, 1),
+            (13, 5),
+        ] {
+            let pmf = binomial_pmf(n, q);
+            let mut seen = vec![0u64; n as usize + 1];
+            for _ in 0..trials {
+                seen[bin_pow2(&mut rng, n, q) as usize] += 1;
+            }
+            for (k, (&got, &p)) in seen.iter().zip(&pmf).enumerate() {
+                let expect = trials as f64 * p;
+                let sigma = (expect * (1.0 - p)).sqrt();
+                assert!(
+                    (got as f64 - expect).abs() <= 5.0 * sigma + 2.0,
+                    "n={n} q={q} k={k}: {got} draws vs {expect:.1} expected"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bin_pow2_edges() {
+        let mut rng = StdRng::seed_from_u64(10);
+        for q in [0u32, 1, 7, 63, 64, 65, 200] {
+            assert_eq!(bin_pow2(&mut rng, 0, q), 0, "n=0 q={q}");
+        }
+        for n in [1u64, 9, 64, 65, EXACT_LIMIT + 1, u64::MAX] {
+            assert_eq!(bin_pow2(&mut rng, n, 0), n, "q=0 n={n}");
+        }
+        // q = 64: one unit is one whole word, kept iff the word is zero.
+        assert_eq!(bin_pow2(&mut Fixed(0), 1, 64), 1);
+        assert_eq!(bin_pow2(&mut Fixed(1 << 63), 1, 64), 0);
+        assert_eq!(bin_pow2(&mut Fixed(1), 1, 64), 0);
+        assert_eq!(bin_pow2(&mut Fixed(u64::MAX), 1, 64), 0);
+        assert_eq!(bin_pow2(&mut rng, 1, 64), 0); // overwhelming odds
+        assert_eq!(bin_pow2(&mut rng, 2, 64), 0); // halving path
     }
 
     #[test]

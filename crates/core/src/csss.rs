@@ -33,8 +33,8 @@ struct IngestScratch {
     plan: RowHashes,
     buckets: Vec<u64>,
     signs: Vec<bool>,
-    /// Per-item row estimates for the median readouts.
-    ests: Vec<f64>,
+    /// Item-major signed raw row counts for the median readouts.
+    raw: Vec<i64>,
 }
 
 /// One row: an independent Countsketch row over an independent sample.
@@ -67,31 +67,55 @@ fn hash_rows(rows: &[CsssRow], plan: &RowHashes, buckets: &mut Vec<u64>, signs: 
     }
 }
 
+/// One item's signed raw count `g·(a⁺ − a⁻)` in bucket `b`.
+#[inline]
+fn signed_raw(row: &CsssRow, b: usize, plus: bool) -> i64 {
+    let raw = row.pos[b] as i64 - row.neg[b] as i64;
+    if plus {
+        raw
+    } else {
+        -raw
+    }
+}
+
+/// The point estimate from one item's signed raw row counts: the lower
+/// median (reorders `raw`), scaled by `2^p`. Scaling by a positive power of
+/// two is monotone, so this is the median of the scaled row estimates; a
+/// zero median reads `+0.0`.
+#[inline]
+fn median_scaled(raw: &mut [i64], scale: f64) -> f64 {
+    let mid = (raw.len() - 1) / 2;
+    *raw.select_nth_unstable(mid).1 as f64 * scale
+}
+
 /// The median-of-rows readout for `m` items whose hashes [`hash_rows`] laid
-/// out row-major: per item, each row's scaled `g·(a⁺ − a⁻)` goes into the
-/// reused `ests` buffer and its median is appended to `out`. The same float
-/// operations in the same order as [`Csss::row_estimate`] and
-/// [`Csss::estimate`].
+/// out row-major: each row writes its signed raw counts for the whole chunk
+/// into the reused item-major `raw` buffer, then each item's
+/// [`median_scaled`] is appended to `out`. [`Csss::estimate`] reads through
+/// the same `median_scaled`, so every point path agrees bit for bit.
 fn median_readout(
     rows: &[CsssRow],
     scale: f64,
     m: usize,
     buckets: &[u64],
     signs: &[bool],
-    ests: &mut Vec<f64>,
+    raw: &mut Vec<i64>,
     out: &mut Vec<f64>,
 ) {
-    out.reserve(m);
-    for idx in 0..m {
-        ests.clear();
-        for (r, row) in rows.iter().enumerate() {
-            let b = buckets[r * m + idx] as usize;
-            let raw = row.pos[b] as f64 - row.neg[b] as f64;
-            let signed = if signs[r * m + idx] { raw } else { -raw };
-            ests.push(signed * scale);
+    let depth = rows.len();
+    raw.clear();
+    raw.resize(m * depth, 0);
+    for (r, row) in rows.iter().enumerate() {
+        let row_buckets = &buckets[r * m..(r + 1) * m];
+        let row_signs = &signs[r * m..(r + 1) * m];
+        for (idx, (&b, &plus)) in row_buckets.iter().zip(row_signs).enumerate() {
+            raw[idx * depth + r] = signed_raw(row, b as usize, plus);
         }
-        out.push(bd_sketch::median_f64(ests));
     }
+    out.extend(
+        raw.chunks_exact_mut(depth)
+            .map(|item| median_scaled(item, scale)),
+    );
 }
 
 /// The CSSS sketch. Owns its sampling RNG: two sketches built from the same
@@ -277,7 +301,8 @@ impl Csss {
         }
     }
 
-    /// One row's scaled estimate `2^p·g_i(j)·(a⁺ − a⁻)`.
+    /// One row's scaled estimate `2^p·g_i(j)·(a⁺ − a⁻)` (a zero count under
+    /// a negative sign reads `−0.0`; [`Csss::estimate`] reads `+0.0`).
     #[inline]
     pub fn row_estimate(&self, row: usize, item: u64) -> f64 {
         let r = &self.rows[row];
@@ -287,12 +312,15 @@ impl Csss {
         signed * self.scale()
     }
 
-    /// The point estimate `y*_j` (median over rows).
+    /// The point estimate `y*_j`: the lower median over rows of the scaled
+    /// row estimates.
     pub fn estimate(&self, item: u64) -> f64 {
-        let mut ests: Vec<f64> = (0..self.rows.len())
-            .map(|r| self.row_estimate(r, item))
+        let mut raw: Vec<i64> = self
+            .rows
+            .iter()
+            .map(|row| signed_raw(row, row.h.hash(item) as usize, row.g.sign(item) >= 0))
             .collect();
-        bd_sketch::median_f64(&mut ests)
+        median_scaled(&mut raw, self.scale())
     }
 
     /// [`Csss::update_aggregated`], then each chunk item's post-update
@@ -310,31 +338,31 @@ impl Csss {
         let IngestScratch {
             buckets,
             signs,
-            ests,
+            raw,
             ..
         } = &mut self.scratch;
-        median_readout(&self.rows, scale, agg.len(), buckets, signs, ests, out);
+        median_readout(&self.rows, scale, agg.len(), buckets, signs, raw, out);
     }
 
     /// Point estimates for a whole set of items in one batched hash pass:
     /// every row's bucket and sign polynomials are evaluated over all of
     /// `items` through the chunk engine, then each item's median-of-rows is
     /// taken from a reused buffer. `out` is cleared and filled positionally.
-    /// Bit-identical per item to [`Csss::estimate`] (same float operations
-    /// in the same order); `&mut self` only for the reusable scratch.
+    /// Bit-identical per item to [`Csss::estimate`] (same integer median and
+    /// scaling); `&mut self` only for the reusable scratch.
     pub fn estimate_many(&mut self, items: &[u64], out: &mut Vec<f64>) {
         let scale = self.scale();
         let IngestScratch {
             plan,
             buckets,
             signs,
-            ests,
+            raw,
             ..
         } = &mut self.scratch;
         plan.load(items.iter().copied());
         hash_rows(&self.rows, plan, buckets, signs);
         out.clear();
-        median_readout(&self.rows, scale, items.len(), buckets, signs, ests, out);
+        median_readout(&self.rows, scale, items.len(), buckets, signs, raw, out);
     }
 
     /// [`Csss::estimate_many`] without the sketch-resident scratch: the hash
@@ -348,14 +376,13 @@ impl Csss {
         plan.load(items.iter().copied());
         let (mut buckets, mut signs) = (Vec::new(), Vec::new());
         hash_rows(&self.rows, &plan, &mut buckets, &mut signs);
-        let mut ests = Vec::with_capacity(self.rows.len());
         median_readout(
             &self.rows,
             self.scale(),
             items.len(),
             &buckets,
             &signs,
-            &mut ests,
+            &mut Vec::new(),
             out,
         );
     }
@@ -558,7 +585,7 @@ impl SpaceUsage for Csss {
 mod tests {
     use super::*;
     use bd_stream::gen::BoundedDeletionGen;
-    use bd_stream::{FrequencyVector, StreamRunner};
+    use bd_stream::{BatchScratch, FrequencyVector, StreamRunner};
 
     #[test]
     fn exact_below_budget_on_sparse_input() {
@@ -742,6 +769,59 @@ mod tests {
             }
         }
         assert!(bad <= truth.l0() as usize / 25, "{bad} merged violations");
+    }
+
+    #[test]
+    fn every_point_path_agrees_bit_for_bit_after_every_chunk() {
+        // A prefix that inserts and deletes each item equally leaves every
+        // touched counter at a⁺ = a⁻, so its items read a zero median count
+        // under both signs; the Zipf tail then thins the sketch.
+        let mut updates: Vec<Update> = (0..2_000u64)
+            .flat_map(|i| [Update::new(i, 5), Update::new(i, -5)])
+            .collect();
+        updates.extend(
+            BoundedDeletionGen::new(1 << 12, 100_000, 1.5)
+                .generate_seeded(31)
+                .updates,
+        );
+        for depth in [9, 8] {
+            let mut c = Csss::new(32, 16, depth, 1 << 15);
+            let mut scratch = BatchScratch::default();
+            let (mut fused, mut many, mut shared) = (Vec::new(), Vec::new(), Vec::new());
+            let mut negative_zeros = 0usize;
+            for chunk in updates.chunks(StreamRunner::DEFAULT_CHUNK) {
+                let agg = scratch.aggregate_signed_mass(chunk);
+                c.update_aggregated_estimates(agg, &mut fused);
+                let items: Vec<u64> = agg.iter().map(|&(item, _, _)| item).collect();
+                c.estimate_many(&items, &mut many);
+                shared.clear();
+                c.estimate_many_shared(&items, &mut shared);
+                for (idx, &item) in items.iter().enumerate() {
+                    let scalar = c.estimate(item);
+                    for (path, value) in [
+                        ("fused", fused[idx]),
+                        ("many", many[idx]),
+                        ("shared", shared[idx]),
+                    ] {
+                        assert_eq!(value.to_bits(), scalar.to_bits(), "{path} item {item}");
+                    }
+                    // The lower median of the scaled row estimates, with
+                    // zero read as +0.0.
+                    let mut rows: Vec<f64> = (0..depth).map(|r| c.row_estimate(r, item)).collect();
+                    rows.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    let median = rows[(depth - 1) / 2];
+                    assert_eq!(scalar, median, "item {item}");
+                    if median == 0.0 {
+                        assert_eq!(scalar.to_bits(), 0.0f64.to_bits(), "item {item}");
+                        if rows.iter().any(|r| r.to_bits() == (-0.0f64).to_bits()) {
+                            negative_zeros += 1;
+                        }
+                    }
+                }
+            }
+            assert!(c.level() > 0, "the stream must reach thinning");
+            assert!(negative_zeros > 1_000, "{negative_zeros} −0.0 row reads");
+        }
     }
 
     #[test]

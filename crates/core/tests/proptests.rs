@@ -3,7 +3,7 @@
 //! The offline build has no `proptest`, so properties are checked over
 //! seeded pseudo-random case sweeps — deterministic and replayable.
 
-use bd_core::binomial::{bin_half, bin_pow2, coin_pow2};
+use bd_core::binomial::{bin_half, bin_pow2};
 use bd_core::{Csss, Params, SampledVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,10 +37,10 @@ fn bin_pow2_monotone_in_q() {
 }
 
 #[test]
-fn coin_pow2_zero_is_certain() {
+fn single_unit_at_q_zero_is_certain() {
     let mut rng = StdRng::seed_from_u64(3);
     for _ in 0..CASES {
-        assert!(coin_pow2(&mut rng, 0));
+        assert_eq!(bin_pow2(&mut rng, 1, 0), 1);
     }
 }
 

@@ -10,7 +10,7 @@
 //! intrinsics (`vpmuludq` schoolbook multiply, Mersenne folding in-register),
 //! selected at runtime via `is_x86_feature_detected!`. The scalar fallback is
 //! the pre-existing interleaved-Horner kernel
-//! ([`poly_eval4`](crate::field::poly_eval4)) — always available, always the
+//! ([`poly_eval4`]) — always available, always the
 //! reference.
 //!
 //! **Lane layout.** The batch kernels evaluate **8 points per call**
@@ -22,7 +22,7 @@
 //!
 //! **Bit-equivalence contract.** Every kernel keeps all intermediate values
 //! in canonical form `[0, 2^61-1)` after each field op, exactly like
-//! [`M61Elem`](crate::field::M61Elem). Canonical representatives are unique,
+//! [`M61Elem`]. Canonical representatives are unique,
 //! so *all* kernels — scalar, portable, AVX2 — are bit-identical on every
 //! input; `crates/hash/tests/batch_equiv.rs` pins SIMD ≡ scalar ≡ definition.
 //!
@@ -122,7 +122,7 @@ impl M61x4 {
     }
 
     /// Lane-wise field multiplication (the Mersenne-folded schoolbook of
-    /// [`mul_lane`]).
+    /// `mul_lane`).
     #[inline]
     pub fn mul(self, rhs: Self) -> Self {
         M61x4(std::array::from_fn(|i| mul_lane(self.0[i], rhs.0[i])))

@@ -19,37 +19,37 @@
 //!
 //! ## Modules
 //!
-//! * [`sketch`] — the [`Sketch`](sketch::Sketch) trait family and batch
+//! * [`sketch`] — the [`Sketch`] trait family and batch
 //!   aggregation helpers;
-//! * [`spec`] — the declarative [`SketchSpec`](spec::SketchSpec)
+//! * [`spec`] — the declarative [`SketchSpec`]
 //!   construction currency (`"csss:n=1e6,eps=0.05,alpha=8,seed=42"`);
 //! * [`registry`] — the family → builder catalog
-//!   ([`Registry`](registry::Registry)) with per-family capability
-//!   descriptors and the object-safe [`DynSketch`](registry::DynSketch)
+//!   ([`Registry`]) with per-family capability
+//!   descriptors and the object-safe [`DynSketch`]
 //!   query surface;
-//! * [`runner`] — [`StreamRunner`](runner::StreamRunner) and
-//!   [`RunReport`](runner::RunReport);
-//! * [`merge`] — [`merge_tree`](merge::merge_tree), the deterministic
+//! * [`runner`] — [`StreamRunner`] and
+//!   [`RunReport`];
+//! * [`merge`] — [`merge_tree`], the deterministic
 //!   pairwise parallel fold both engines use to combine worker sketches
 //!   (`⌈log₂ W⌉` rounds instead of `W − 1` serial merges), with per-round
-//!   accounting in [`MergeReport`](merge::MergeReport);
-//! * [`sharded`] — [`ShardedRunner`](sharded::ShardedRunner), the parallel
+//!   accounting in [`MergeReport`];
+//! * [`sharded`] — [`ShardedRunner`], the parallel
 //!   shard → sketch → merge ingestion engine over registry-built sketches;
-//! * [`service`] — [`StreamService`](service::StreamService), the long-lived
+//! * [`service`] — [`StreamService`], the long-lived
 //!   epoch-snapshot serving engine over an unbounded update source (worker
-//!   threads fed round-robin, immutable merged [`Snapshot`](service::Snapshot)s
+//!   threads fed round-robin, immutable merged [`Snapshot`]s
 //!   every epoch while ingestion continues);
 //! * [`query`] — the concurrent read side: lock-free snapshot publication
-//!   ([`SnapshotHub`](query::SnapshotHub) /
-//!   [`SnapshotHandle`](query::SnapshotHandle), wait-free
+//!   ([`SnapshotHub`] /
+//!   [`SnapshotHandle`], wait-free
 //!   [`latest`](query::SnapshotHandle::latest)) and the batched
-//!   [`QueryEngine`](query::QueryEngine) over a pinned epoch
-//!   [`QueryView`](query::QueryView);
+//!   [`QueryEngine`] over a pinned epoch
+//!   [`QueryView`];
 //! * [`wire`] — the `sketchctl serve` protocol: length-prefixed binary
 //!   frames, strict decoding, bit-exact floats;
-//! * [`net`] — the std-only TCP front-end ([`QueryServer`](net::QueryServer)
-//!   / [`QueryClient`](net::QueryClient)) serving the wire protocol from a
-//!   [`SnapshotHandle`](query::SnapshotHandle);
+//! * [`net`] — the std-only TCP front-end ([`QueryServer`]
+//!   / [`QueryClient`]) serving the wire protocol from a
+//!   [`SnapshotHandle`];
 //! * [`update`] — items, updates `(i, Δ)`, and [`update::StreamBatch`];
 //! * [`vector`] — exact frequency vectors `f = I − D` with every statistic
 //!   the paper's guarantees are stated against (`‖f‖₀`, `‖f‖₁`, `F₀`,

@@ -1,7 +1,7 @@
 //! Snapshot persistence: epochs that survive a restart.
 //!
 //! The durability unit is the epoch cut. Every scheduled cut already
-//! produces an immutable [`Snapshot`] (merged sketch + [`EpochReport`]);
+//! produces an immutable [`Snapshot`](crate::service::Snapshot) (merged sketch + [`EpochReport`]);
 //! this module gives that pair a **versioned, seed-and-spec-stamped binary
 //! encoding** and a crash-tolerant on-disk store, so a
 //! [`StreamService`](crate::service::StreamService) can cold-start from the
@@ -12,7 +12,7 @@
 //! CRC-32C), both strict — truncation, bit flips and trailing bytes are
 //! typed errors:
 //!
-//! * **Sketch blob** (`BDSK`): the full [`SketchSpec`](crate::spec::SketchSpec)
+//! * **Sketch blob** (`BDSK`): the full [`SketchSpec`]
 //!   display string (which embeds the seed — a wrong-seed file *is* a
 //!   wrong-spec file), then the family's
 //!   [`SketchState`](crate::state::SketchState) encoding. Decoding rebuilds
@@ -47,7 +47,7 @@ use std::time::Duration;
 
 /// Crash-point fault injection for the durability tests.
 ///
-/// A "crash" in-process: an armed [`FaultInjector`] makes the durable
+/// A "crash" in-process: an armed [`FaultInjector`](fault::FaultInjector) makes the durable
 /// write path stop — or tear — at a chosen point, then poisons every
 /// further persistence operation with
 /// [`PersistError::FaultInjected`], so dropping the service afterwards

@@ -22,7 +22,7 @@
 //!    *cuts an epoch*: it enqueues a snapshot command behind each worker's
 //!    pending batches, collects one [`DynSketch::clone_dyn`] per worker, and
 //!    folds the clones with the deterministic pairwise tree
-//!    ([`merge_tree`](crate::merge::merge_tree), `⌈log₂ W⌉` concurrent
+//!    ([`merge_tree`], `⌈log₂ W⌉` concurrent
 //!    rounds; shape fixed by worker index) into an immutable [`Snapshot`] —
 //!    while the workers' own sketches keep ingesting the next epoch's
 //!    batches. Fold depth and per-round timing land in
@@ -31,7 +31,7 @@
 //!    the service's lock-free [`SnapshotHub`] cell, so any number of reader
 //!    threads holding [`SnapshotHandle`]s ([`StreamService::handle`]) see
 //!    the newest **complete** epoch — never a partial merge — through
-//!    wait-free [`QueryView`](crate::query::QueryView) loads while
+//!    wait-free [`QueryView`] loads while
 //!    ingestion continues. The [`crate::query`] module docs state the
 //!    publication contract.
 //!
@@ -47,7 +47,7 @@
 //! prefix for every mergeable family in the registry.
 //!
 //! Everything is spec-driven: the sketch comes from a
-//! [`SketchSpec`](crate::spec::SketchSpec) string, the service shape from a
+//! [`SketchSpec`] string, the service shape from a
 //! [`ServiceConfig`] string (`service:epoch=1e5,threads=4`), so any
 //! mergeable family is servable by name (`sketchctl serve`). Each
 //! [`EpochReport`] carries the deletion-fraction / α accounting and the

@@ -15,7 +15,7 @@
 //!    shared [`StreamRunner`] (so per-shard ingestion gets the same batched
 //!    `update_batch` path as sequential ingestion);
 //! 3. the workers' sketches are folded with a deterministic pairwise
-//!    *tree* ([`merge_tree`](crate::merge::merge_tree)): `⌈log₂ shards⌉`
+//!    *tree* ([`merge_tree`]): `⌈log₂ shards⌉`
 //!    rounds of concurrent [`DynSketch::merge_dyn`] pair merges instead of
 //!    `shards − 1` serial ones. The tree shape is fixed by shard index, so
 //!    a sharded run is deterministic for a given `(spec, stream, threads)`

@@ -420,7 +420,7 @@ const DRAIN_TICKS: u32 = 20;
 /// `Ok(false)` on clean EOF at a frame boundary (the peer closed between
 /// messages) or when `stop` is up between frames. A read timeout is a
 /// polling tick: between frames it rechecks `stop`; mid-frame, the peer
-/// gets [`DRAIN_TICKS`] ticks after `stop` rises before the read fails
+/// gets `DRAIN_TICKS` ticks after `stop` rises before the read fails
 /// with `TimedOut`. A length prefix of zero or above [`MAX_FRAME`] is
 /// `InvalidData` (malformed peer — close the connection); EOF mid-frame is
 /// `UnexpectedEof`.
