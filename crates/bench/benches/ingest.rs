@@ -442,8 +442,7 @@ fn main() {
 
     // Query engine microsection: scalar vs batched point queries through a
     // `QueryEngine` over a published epoch snapshot (the read side of
-    // `DESIGN.md §11`), plus the wait-free `SnapshotHandle::latest` clone
-    // itself. `scripts/bench_compare.sh` asserts the section exists.
+    // `DESIGN.md §11`), plus the `SnapshotHandle::latest` clone itself. `scripts/bench_compare.sh` asserts the section exists.
     const QUERY_K: usize = 1024;
     println!("\nquery — scalar vs batched point queries on a published snapshot, k = {QUERY_K}\n");
     let query_items: Vec<u64> = (0..QUERY_K as u64).map(|i| (i * 2654435761) % N).collect();
@@ -493,8 +492,8 @@ fn main() {
     };
     compare_query("countsketch", base);
     compare_query("csss", base.with_family(SketchFamily::Csss).with_k(16));
-    // The publication read path in isolation: one wait-free `latest()` —
-    // two SeqCst RMWs, one load, one Arc strong-count bump — per op.
+    // The publication read path in isolation: one `latest()` — an
+    // uncontended lock, one Arc strong-count bump, an unlock — per op.
     let handle = final_handle.expect("at least one query family ran");
     let m_latest = micro::sample("query/latest_clone", 1 << 16, SAMPLES, WARMUP, |_| {
         for _ in 0..(1 << 16) {

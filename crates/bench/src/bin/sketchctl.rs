@@ -65,7 +65,7 @@
 //!
 //! `serve --listen ADDR` swaps prefix verification for a live TCP query
 //! front-end (`bd_stream::QueryServer`, `DESIGN.md §11`): every epoch cut
-//! is published through the lock-free `SnapshotHub` and the workload
+//! is published through the service's `SnapshotHub` and the workload
 //! replays continuously (replaying a bounded-deletion stream preserves its
 //! realized α) so readers always race live ingestion. The process prints
 //! `listening on <addr>` (ephemeral ports resolve here) and runs until a

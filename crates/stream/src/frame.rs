@@ -157,6 +157,7 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: guarded by the sse4.2 runtime check.
+        #[allow(unsafe_code)]
         return unsafe { crc32c_sse42(bytes) };
     }
     crc32c_sw(bytes)
@@ -169,6 +170,7 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 /// The CPU must support SSE4.2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
+#[allow(unsafe_code)]
 unsafe fn crc32c_sse42(bytes: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
     let mut crc = !0u32 as u64;

@@ -39,10 +39,11 @@
 //!   epoch-snapshot serving engine over an unbounded update source (worker
 //!   threads fed round-robin, immutable merged [`Snapshot`]s
 //!   every epoch while ingestion continues);
-//! * [`query`] — the concurrent read side: lock-free snapshot publication
+//! * [`query`] — the concurrent read side: snapshot publication
 //!   ([`SnapshotHub`] /
-//!   [`SnapshotHandle`], wait-free
-//!   [`latest`](query::SnapshotHandle::latest)) and the batched
+//!   [`SnapshotHandle`], whose
+//!   [`latest`](query::SnapshotHandle::latest) is one `Arc` clone under a
+//!   mutex) and the batched
 //!   [`QueryEngine`] over a pinned epoch
 //!   [`QueryView`];
 //! * [`wire`] — the `sketchctl serve` protocol: length-prefixed binary
@@ -58,6 +59,8 @@
 //!   stream generators;
 //! * [`space`] — bit-level space reports ([`space::SpaceUsage`]), the
 //!   measurement behind every Figure 1 comparison.
+
+#![deny(unsafe_code)]
 
 pub mod frame;
 pub mod gen;

@@ -6,7 +6,7 @@
 //!
 //! One nonblocking accept loop (polling a stop flag between accepts), one
 //! thread per connection. Each connection thread answers requests through
-//! the wait-free [`SnapshotHandle::latest`] path, so any number of
+//! the [`SnapshotHandle::latest`] path, so any number of
 //! connections query concurrently while the ingest thread keeps cutting
 //! epochs — the server never touches the service, only the handle.
 //!
@@ -313,10 +313,8 @@ impl std::fmt::Debug for QueryClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::merge::MergeReport;
     use crate::query::SnapshotHub;
     use crate::service::{EpochReport, Snapshot};
-    use crate::space::SpaceReport;
     use crate::spec::{SketchFamily, SketchSpec};
     use crate::vector::FrequencyVector;
     use std::io::{Read as _, Write as _};
@@ -334,24 +332,11 @@ mod tests {
                 epoch: 1,
                 updates: stamp,
                 total_updates: stamp,
-                inserted_mass: 0,
-                deleted_mass: 0,
                 total_inserted: 90,
                 total_deleted: 30,
                 alpha_configured: 2.0,
-                dropped_updates: 0,
-                dropped_mass: 0,
-                total_dropped_updates: 0,
-                total_dropped_mass: 0,
-                queue_peak: 0,
-                blocked: Duration::ZERO,
-                space: SpaceReport::default(),
-                elapsed: Duration::ZERO,
-                merge_elapsed: Duration::ZERO,
-                merge: MergeReport::default(),
                 threads: 2,
-                wal_records: 0,
-                wal_bytes: 0,
+                ..Default::default()
             },
         }));
         hub

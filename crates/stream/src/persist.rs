@@ -466,26 +466,34 @@ pub fn decode_snapshot(registry: &Registry, bytes: &[u8]) -> Result<SnapshotReco
     let epoch = p.u64()? as usize;
     let total_updates = p.u64()? as usize;
     let offered = p.u64()?;
-    let total_inserted = p.u64()?;
-    let total_deleted = p.u64()?;
-    let total_dropped_updates = p.u64()? as usize;
-    let total_dropped_mass = p.u64()?;
-    let updates = p.u64()? as usize;
-    let inserted_mass = p.u64()?;
-    let deleted_mass = p.u64()?;
-    let dropped_updates = p.u64()? as usize;
-    let dropped_mass = p.u64()?;
-    let alpha_configured = p.f64()?;
-    let queue_peak = p.u64()? as usize;
-    let blocked = Duration::from_nanos(p.u64()?);
-    let elapsed = Duration::from_nanos(p.u64()?);
-    let merge_elapsed = Duration::from_nanos(p.u64()?);
-    let threads = p.u64()? as usize;
-    let space = crate::space::SpaceReport {
-        counters: p.u64()?,
-        counter_bits: p.u64()?,
-        seed_bits: p.u64()?,
-        overhead_bits: p.u64()?,
+    // Struct fields evaluate in source order, which is the encode order.
+    // Merge rounds and WAL accounting are live-only: a recovered report
+    // carries zeros.
+    let report = EpochReport {
+        epoch,
+        total_updates,
+        total_inserted: p.u64()?,
+        total_deleted: p.u64()?,
+        total_dropped_updates: p.u64()? as usize,
+        total_dropped_mass: p.u64()?,
+        updates: p.u64()? as usize,
+        inserted_mass: p.u64()?,
+        deleted_mass: p.u64()?,
+        dropped_updates: p.u64()? as usize,
+        dropped_mass: p.u64()?,
+        alpha_configured: p.f64()?,
+        queue_peak: p.u64()? as usize,
+        blocked: Duration::from_nanos(p.u64()?),
+        elapsed: Duration::from_nanos(p.u64()?),
+        merge_elapsed: Duration::from_nanos(p.u64()?),
+        threads: p.u64()? as usize,
+        space: crate::space::SpaceReport {
+            counters: p.u64()?,
+            counter_bits: p.u64()?,
+            seed_bits: p.u64()?,
+            overhead_bits: p.u64()?,
+        },
+        ..Default::default()
     };
     // The sketch blob is the rest of the payload.
     let blob = p.bytes(p.remaining())?;
@@ -497,30 +505,6 @@ pub fn decode_snapshot(registry: &Registry, bytes: &[u8]) -> Result<SnapshotReco
             found: blob_spec.to_string(),
         });
     }
-    let report = EpochReport {
-        epoch,
-        updates,
-        total_updates,
-        inserted_mass,
-        deleted_mass,
-        total_inserted,
-        total_deleted,
-        alpha_configured,
-        dropped_updates,
-        dropped_mass,
-        total_dropped_updates,
-        total_dropped_mass,
-        queue_peak,
-        blocked,
-        space,
-        elapsed,
-        merge_elapsed,
-        merge: crate::merge::MergeReport::default(),
-        threads,
-        // WAL accounting is live-only: a recovered report carries zeros.
-        wal_records: 0,
-        wal_bytes: 0,
-    };
     Ok(SnapshotRecord {
         spec,
         config,
@@ -735,19 +719,14 @@ mod tests {
             total_inserted: 400,
             total_deleted: 90,
             alpha_configured: 4.0,
-            dropped_updates: 0,
-            dropped_mass: 0,
-            total_dropped_updates: 0,
-            total_dropped_mass: 0,
             queue_peak: 5,
             blocked: Duration::from_nanos(777),
             space: sk.space(),
             elapsed: Duration::from_micros(10),
-            merge_elapsed: Duration::ZERO,
-            merge: Default::default(),
             threads: 2,
             wal_records: 7,
             wal_bytes: 512,
+            ..Default::default()
         };
         let bytes = encode_snapshot(&spec, "service:epoch=100", &report, 300, sk.as_ref()).unwrap();
         let rec = decode_snapshot(&r, &bytes).unwrap();
@@ -798,23 +777,11 @@ mod tests {
             updates: 10,
             total_updates: 10,
             inserted_mass: 10,
-            deleted_mass: 0,
             total_inserted: 10,
-            total_deleted: 0,
             alpha_configured: 2.0,
-            dropped_updates: 0,
-            dropped_mass: 0,
-            total_dropped_updates: 0,
-            total_dropped_mass: 0,
-            queue_peak: 0,
-            blocked: Duration::ZERO,
             space: sk.space(),
-            elapsed: Duration::ZERO,
-            merge_elapsed: Duration::ZERO,
-            merge: Default::default(),
             threads: 1,
-            wal_records: 0,
-            wal_bytes: 0,
+            ..Default::default()
         };
         store.save(&spec, "cfg", &report, 10, sk.as_ref()).unwrap();
         report.epoch = 2;

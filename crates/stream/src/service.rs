@@ -27,12 +27,11 @@
 //!    while the workers' own sketches keep ingesting the next epoch's
 //!    batches. Fold depth and per-round timing land in
 //!    [`EpochReport::merge`];
-//! 4. each resolved scheduled cut is *published*: atomically swapped into
-//!    the service's lock-free [`SnapshotHub`] cell, so any number of reader
-//!    threads holding [`SnapshotHandle`]s ([`StreamService::handle`]) see
-//!    the newest **complete** epoch — never a partial merge — through
-//!    wait-free [`QueryView`] loads while
-//!    ingestion continues. The [`crate::query`] module docs state the
+//! 4. each resolved scheduled cut is *published*: swapped into the
+//!    service's [`SnapshotHub`] cell, so any number of reader threads
+//!    holding [`SnapshotHandle`]s ([`StreamService::handle`]) see the
+//!    newest **complete** epoch — never a partial merge — as
+//!    [`QueryView`]s while ingestion continues. The [`crate::query`] module docs state the
 //!    publication contract.
 //!
 //! **Why snapshot ≡ replay holds.** A worker's clone is a faithful freeze of
@@ -60,6 +59,7 @@ use crate::registry::{DynSketch, Registry, RegistryError};
 use crate::runner::StreamRunner;
 use crate::space::SpaceReport;
 use crate::spec::{parse_u64, SketchSpec, SpecError};
+use crate::state::StateError;
 use crate::update::Update;
 use crate::wal::{
     self, SealedSegment, WalCell, WalLogger, WalPolicy, WalRecord, WalWriter, MAX_WAL_CHUNK,
@@ -164,7 +164,7 @@ pub struct ServiceConfig {
     /// Updates per epoch: a snapshot is cut every `epoch` dispatched
     /// updates.
     pub epoch: u64,
-    /// Shard workers (threads); clamped to ≥ 1. More than one requires a
+    /// Shard workers (threads); must be ≥ 1. More than one requires a
     /// `mergeable` family.
     pub threads: usize,
     /// Updates per dispatched batch — the round-robin granularity. Smaller
@@ -353,7 +353,7 @@ impl fmt::Display for ServiceConfig {
 /// Accounting attached to one epoch snapshot: what this epoch ingested,
 /// running totals, the deletion-fraction / α regime observed, the merged
 /// snapshot's space watermark, and timing.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct EpochReport {
     /// 1-based index of the cut (on-demand snapshots repeat the upcoming
     /// index without consuming it).
@@ -535,22 +535,158 @@ enum Cmd {
     Snapshot(Sender<Box<dyn DynSketch>>),
 }
 
-/// Accounting counters frozen at an epoch cut, waiting for the workers'
-/// clones (which may still be draining their queues while the next epoch's
-/// batches are dispatched behind the snapshot command).
+/// A cut's frozen accounting, waiting for the workers' clones (which may
+/// still be draining their queues while the next epoch's batches are
+/// dispatched behind the snapshot command).
 struct PendingCut {
     replies: Vec<Receiver<Box<dyn DynSketch>>>,
     report: EpochReport,
+}
+
+/// What a span of the offered stream did: updates that reached a worker
+/// (with their inserted and deleted mass) and updates the `drop` policy
+/// shed.
+#[derive(Clone, Copy, Debug, Default)]
+struct Tally {
+    updates: usize,
+    inserted: u64,
+    deleted: u64,
+    dropped_updates: usize,
+    dropped_mass: u64,
+}
+
+impl Tally {
+    /// The running totals a report froze.
+    fn totals_of(report: &EpochReport) -> Tally {
+        Tally {
+            updates: report.total_updates,
+            inserted: report.total_inserted,
+            deleted: report.total_deleted,
+            dropped_updates: report.total_dropped_updates,
+            dropped_mass: report.total_dropped_mass,
+        }
+    }
+
+    /// Updates offered: ingested + shed.
+    fn offered(&self) -> usize {
+        self.updates + self.dropped_updates
+    }
+}
+
+impl std::ops::Add for Tally {
+    type Output = Tally;
+
+    fn add(self, o: Tally) -> Tally {
+        Tally {
+            updates: self.updates + o.updates,
+            inserted: self.inserted + o.inserted,
+            deleted: self.deleted + o.deleted,
+            dropped_updates: self.dropped_updates + o.dropped_updates,
+            dropped_mass: self.dropped_mass + o.dropped_mass,
+        }
+    }
+}
+
+/// The service's one accounting value: the open epoch's tally, the
+/// running total through the last cut, the cut index, and the open
+/// epoch's gauges. Every count the dispatcher needs is derived from it —
+/// the offered cursor that places cells on the chunk grid is
+/// `(total + epoch).offered()`, and the epoch schedule counts
+/// `epoch.offered()` — so no pair of counters can drift apart.
+struct Accounting {
+    epoch: Tally,
+    total: Tally,
+    cuts: usize,
+    queue_peak: usize,
+    blocked: Duration,
+    wal_records: usize,
+    wal_bytes: u64,
+    epoch_start: Instant,
+}
+
+impl Accounting {
+    /// A fresh epoch after `cuts` cuts that accounted for `total`.
+    fn new(cuts: usize, total: Tally) -> Self {
+        Accounting {
+            epoch: Tally::default(),
+            total,
+            cuts,
+            queue_peak: 0,
+            blocked: Duration::ZERO,
+            wal_records: 0,
+            wal_bytes: 0,
+            epoch_start: Instant::now(),
+        }
+    }
+
+    /// Everything offered since the service started.
+    fn running(&self) -> Tally {
+        self.total + self.epoch
+    }
+
+    /// Updates offered since the service started: the chunk-grid position,
+    /// so the update → worker assignment is a pure function of the offered
+    /// stream.
+    fn offered(&self) -> usize {
+        self.running().offered()
+    }
+
+    /// A dispatched cell reached its worker.
+    fn record_ingested(&mut self, updates: usize, inserted: u64, deleted: u64) {
+        self.epoch.updates += updates;
+        self.epoch.inserted += inserted;
+        self.epoch.deleted += deleted;
+    }
+
+    /// A cell of mass `Σ|Δ| = mass` was shed.
+    fn record_shed(&mut self, updates: usize, mass: u64) {
+        self.epoch.dropped_updates += updates;
+        self.epoch.dropped_mass += mass;
+    }
+
+    /// The report a cut taken now would freeze, changing nothing. Space
+    /// and merge timing are filled in when the clones arrive.
+    fn peek(&self, alpha_configured: f64, threads: usize) -> EpochReport {
+        let total = self.running();
+        EpochReport {
+            epoch: self.cuts + 1,
+            updates: self.epoch.updates,
+            total_updates: total.updates,
+            inserted_mass: self.epoch.inserted,
+            deleted_mass: self.epoch.deleted,
+            total_inserted: total.inserted,
+            total_deleted: total.deleted,
+            alpha_configured,
+            dropped_updates: self.epoch.dropped_updates,
+            dropped_mass: self.epoch.dropped_mass,
+            total_dropped_updates: total.dropped_updates,
+            total_dropped_mass: total.dropped_mass,
+            queue_peak: self.queue_peak,
+            blocked: self.blocked,
+            elapsed: self.epoch_start.elapsed(),
+            threads,
+            wal_records: self.wal_records,
+            wal_bytes: self.wal_bytes,
+            ..EpochReport::default()
+        }
+    }
+
+    /// Cut: the [`Accounting::peek`] report; the epoch is added into the
+    /// total and a fresh one opens.
+    fn freeze(&mut self, alpha_configured: f64, threads: usize) -> EpochReport {
+        let report = self.peek(alpha_configured, threads);
+        *self = Accounting::new(self.cuts + 1, self.running());
+        report
+    }
 }
 
 /// The long-lived epoch-snapshot serving engine.
 pub struct StreamService {
     config: ServiceConfig,
     spec: SketchSpec,
-    alpha_configured: f64,
     /// Publication point for scheduled (and final) epoch snapshots: every
-    /// resolved cut is atomically swapped in here, so reader threads holding
-    /// a [`SnapshotHandle`] always see the newest *complete* epoch.
+    /// resolved cut is swapped in here, so reader threads holding a
+    /// [`SnapshotHandle`] always see the newest *complete* epoch.
     hub: SnapshotHub,
     senders: Vec<SyncSender<Cmd>>,
     handles: Vec<JoinHandle<()>>,
@@ -567,31 +703,8 @@ pub struct StreamService {
     /// replay is independent of how callers slice the source into `ingest`
     /// calls.
     buf: Vec<Update>,
-    /// Updates *offered* (dispatched or shed) since the last cut — the
-    /// epoch schedule counts offered updates, so cut geometry is
-    /// independent of the overflow policy.
-    in_epoch: u64,
-    /// Updates offered since the service started: drives the chunk-grid
-    /// position, so the update → worker assignment is a pure function of
-    /// the offered stream.
-    offered: usize,
-    epochs_cut: usize,
-    /// Updates actually ingested (dispatched to a worker) since the service
-    /// started — the prefix length a snapshot covers.
-    total_updates: usize,
-    /// Updates ingested since the last cut.
-    ingested_in_epoch: usize,
-    inserted: u64,
-    deleted: u64,
-    total_inserted: u64,
-    total_deleted: u64,
-    dropped_updates: usize,
-    dropped_mass: u64,
-    total_dropped_updates: usize,
-    total_dropped_mass: u64,
-    queue_peak: usize,
-    blocked: Duration,
-    epoch_start: Instant,
+    /// Every dispatched or shed update, per epoch and in total.
+    acct: Accounting,
     pending: Vec<PendingCut>,
     /// When attached ([`StreamService::persist_to`] /
     /// [`StreamService::recover`]), every resolved scheduled cut is also
@@ -610,10 +723,6 @@ pub struct StreamService {
     /// every replayed batch undroppable (the logged outcome is replayed,
     /// never re-decided).
     replaying: bool,
-    /// WAL records / frame bytes appended since the last cut (the
-    /// [`EpochReport::wal_records`] / [`EpochReport::wal_bytes`] feed).
-    wal_records_epoch: usize,
-    wal_bytes_epoch: u64,
     /// Offered position of the newest snapshot known durable — the WAL
     /// truncation horizon.
     last_persisted_offered: u64,
@@ -700,20 +809,26 @@ impl StreamService {
         spec: &SketchSpec,
         config: ServiceConfig,
     ) -> Result<Self, RegistryError> {
+        Self::check(registry, spec, &config)?;
+        let sketches = registry.build_n(spec, config.threads)?;
+        Ok(Self::assemble(spec, config, sketches))
+    }
+
+    /// Reject a config that would deadlock dispatch, an unregistered
+    /// family, and more than one worker on a family that cannot merge.
+    fn check(
+        registry: &Registry,
+        spec: &SketchSpec,
+        config: &ServiceConfig,
+    ) -> Result<(), RegistryError> {
         config.validate()?;
         let info = registry
             .info(spec.family)
             .ok_or(RegistryError::Unregistered(spec.family))?;
-        let threads = config.threads.max(1);
-        if threads > 1 && !info.caps.mergeable {
+        if config.threads > 1 && !info.caps.mergeable {
             return Err(RegistryError::NotMergeable);
         }
-        let sketches = registry.build_n(spec, threads)?;
-        Ok(Self::assemble(
-            spec,
-            ServiceConfig { threads, ..config },
-            sketches,
-        ))
+        Ok(())
     }
 
     /// Spawn one worker thread per pre-built sketch and wire the service
@@ -755,34 +870,16 @@ impl StreamService {
         StreamService {
             config,
             spec: *spec,
-            alpha_configured: spec.alpha,
             hub: SnapshotHub::new(),
             senders,
             handles,
             pending_cmds,
             buf: Vec::with_capacity(config.chunk),
-            in_epoch: 0,
-            offered: 0,
-            epochs_cut: 0,
-            total_updates: 0,
-            ingested_in_epoch: 0,
-            inserted: 0,
-            deleted: 0,
-            total_inserted: 0,
-            total_deleted: 0,
-            dropped_updates: 0,
-            dropped_mass: 0,
-            total_dropped_updates: 0,
-            total_dropped_mass: 0,
-            queue_peak: 0,
-            blocked: Duration::ZERO,
-            epoch_start: Instant::now(),
+            acct: Accounting::new(0, Tally::default()),
             pending: Vec::new(),
             store: None,
             wal: None,
             replaying: false,
-            wal_records_epoch: 0,
-            wal_bytes_epoch: 0,
             last_persisted_offered: 0,
             fault: None,
             recovered_from: 0,
@@ -816,7 +913,7 @@ impl StreamService {
                 &self.config.geometry_string(),
                 self.config.wal,
                 next_seq,
-                self.offered as u64,
+                self.acct.offered() as u64,
             )
             .map_err(ServiceError::Persist)?;
             if let Some(fault) = &self.fault {
@@ -847,13 +944,15 @@ impl StreamService {
     /// persisting into it.
     ///
     /// The snapshot's spec and service-config stamps must match the
-    /// caller's exactly (`[PersistError::SpecMismatch]` /
+    /// caller's exactly ([`PersistError::SpecMismatch`] /
     /// [`PersistError::ConfigMismatch`] otherwise — the spec embeds the
     /// seed, and the dispatch geometry must continue identically for
-    /// replay to be faithful). Worker 0 is seeded with the restored merged
-    /// sketch, workers `1..threads` start fresh, and the stream cursor and
-    /// cumulative accounting resume from the snapshot's stamps; the
-    /// recovered epoch is republished to the hub so
+    /// replay to be faithful), and its offered stamp must equal the
+    /// ingested + shed total its report accounts for
+    /// ([`StateError::Corrupt`] otherwise). Worker 0 is seeded with the
+    /// restored merged sketch, workers `1..threads` start fresh, and the
+    /// cumulative accounting (and with it the stream cursor) resumes from
+    /// the snapshot's report; the recovered epoch is republished to the hub so
     /// [`StreamService::latest`] serves it immediately. The caller then
     /// replays the source from [`StreamService::replay_from`]: because the
     /// update → worker assignment is a pure function of the offered
@@ -872,9 +971,10 @@ impl StreamService {
         store: SnapshotStore,
     ) -> Result<Self, ServiceError> {
         let rec = store.load_latest(registry).map_err(ServiceError::Persist)?;
-        let mut svc = StreamService::start(registry, spec, config)
-            .map_err(|e| ServiceError::Persist(PersistError::Registry(e)))?;
-        if let Some(rec) = rec {
+        let registry_err = |e| ServiceError::Persist(PersistError::Registry(e));
+        Self::check(registry, spec, &config).map_err(registry_err)?;
+        let mut sketches = Vec::with_capacity(config.threads);
+        if let Some(rec) = &rec {
             if rec.spec != *spec {
                 return Err(PersistError::SpecMismatch {
                     expected: spec.to_string(),
@@ -882,34 +982,41 @@ impl StreamService {
                 }
                 .into());
             }
-            if rec.config != svc.config.geometry_string() {
+            if rec.config != config.geometry_string() {
                 return Err(PersistError::ConfigMismatch {
-                    expected: svc.config.geometry_string(),
-                    found: rec.config,
+                    expected: config.geometry_string(),
+                    found: rec.config.clone(),
                 }
                 .into());
             }
-            let offered =
-                usize::try_from(rec.offered).map_err(|_| PersistError::Oversized(rec.offered))?;
-            // Re-assemble with worker 0 seeded by the restored merged sketch
-            // (the same identity the merge fold preserves: worker 0's clone is
-            // always the fold survivor). The fresh `svc` above already proved
-            // the spec is buildable and mergeable at this thread count.
-            let mut sketches = registry
-                .build_n(spec, svc.config.threads)
-                .map_err(|e| ServiceError::Persist(PersistError::Registry(e)))?;
-            sketches[0] = rec.sketch.clone_dyn();
-            svc = Self::assemble(spec, svc.config, sketches);
-            // Resume the stream cursor and the cumulative accounting exactly
-            // where the snapshot froze them; per-epoch tallies start at zero
-            // (the cut was an epoch boundary).
-            svc.offered = offered;
-            svc.epochs_cut = rec.report.epoch;
-            svc.total_updates = rec.report.total_updates;
-            svc.total_inserted = rec.report.total_inserted;
-            svc.total_deleted = rec.report.total_deleted;
-            svc.total_dropped_updates = rec.report.total_dropped_updates;
-            svc.total_dropped_mass = rec.report.total_dropped_mass;
+            // The cursor is derived from the accounting, so a file whose
+            // offered stamp disagrees with it cannot be resumed faithfully.
+            let accounted = rec
+                .report
+                .total_updates
+                .checked_add(rec.report.total_dropped_updates);
+            if accounted.map(|n| n as u64) != Some(rec.offered) {
+                return Err(PersistError::State(StateError::Corrupt(
+                    "snapshot offered stamp disagrees with its accounting",
+                ))
+                .into());
+            }
+            // Worker 0 is seeded by the restored merged sketch (the same
+            // identity the merge fold preserves: worker 0's clone is always
+            // the fold survivor); the rest start fresh.
+            sketches.push(rec.sketch.clone_dyn());
+        }
+        sketches.extend(
+            registry
+                .build_n(spec, config.threads - sketches.len())
+                .map_err(registry_err)?,
+        );
+        let mut svc = Self::assemble(spec, config, sketches);
+        if let Some(rec) = rec {
+            // Resume the cumulative accounting (and with it the stream
+            // cursor) exactly where the snapshot froze it; the epoch
+            // tallies start at zero (the cut was an epoch boundary).
+            svc.acct = Accounting::new(rec.report.epoch, Tally::totals_of(&rec.report));
             svc.last_persisted_offered = rec.offered;
             svc.hub.publish(Arc::new(Snapshot {
                 spec: *spec,
@@ -925,7 +1032,7 @@ impl StreamService {
         // replayed epoch boundary re-cuts (and re-persists) the epoch the
         // crash lost.
         let (sealed, max_seq) = svc.replay_wal_tail(&dir)?;
-        svc.recovered_from = svc.offered;
+        svc.recovered_from = svc.acct.offered();
         if svc.config.wal != WalPolicy::Off {
             let next_seq = max_seq.map_or(0, |s| s + 1);
             let mut writer = WalWriter::open(
@@ -934,7 +1041,7 @@ impl StreamService {
                 &svc.config.geometry_string(),
                 svc.config.wal,
                 next_seq,
-                svc.offered as u64,
+                svc.acct.offered() as u64,
             )
             .map_err(ServiceError::Persist)?;
             // Old segments stay authoritative until a durable snapshot
@@ -1010,10 +1117,11 @@ impl StreamService {
             for rec in scan.records {
                 let end = rec.end_offered();
                 seg_end = seg_end.max(end);
-                if !intact || end <= self.offered as u64 {
+                let cursor = self.acct.offered() as u64;
+                if !intact || end <= cursor {
                     continue;
                 }
-                if rec.offered != self.offered as u64 {
+                if rec.offered != cursor {
                     // A gap: records beyond it belong to a cursor we never
                     // reached, so they cannot be replayed faithfully.
                     intact = false;
@@ -1028,16 +1136,10 @@ impl StreamService {
                             Arc::try_unwrap(updates).unwrap_or_else(|arc| arc.as_ref().clone());
                         self.flush().inspect_err(|_| self.replaying = false)?;
                     }
-                    WalCell::Shed { count, mass } => {
-                        // The shed outcome is replayed, not re-decided:
-                        // only the cursor and the dropped accounting move.
-                        self.offered += count as usize;
-                        self.in_epoch += count as u64;
-                        self.dropped_updates += count as usize;
-                        self.dropped_mass += mass;
-                    }
+                    // The shed outcome is replayed, not re-decided.
+                    WalCell::Shed { count, mass } => self.acct.record_shed(count as usize, mass),
                 }
-                if self.in_epoch >= self.config.epoch {
+                if self.acct.epoch.offered() as u64 >= self.config.epoch {
                     self.cut().inspect_err(|_| self.replaying = false)?;
                 }
             }
@@ -1078,24 +1180,24 @@ impl StreamService {
     /// Under the `drop` overflow policy, shed updates are *not* counted
     /// here — see [`StreamService::total_dropped_updates`].
     pub fn total_updates(&self) -> usize {
-        self.total_updates + self.buf.len()
+        self.acct.running().updates + self.buf.len()
     }
 
     /// Updates shed by the `drop` overflow policy since the service started
     /// (always 0 under `block`).
     pub fn total_dropped_updates(&self) -> usize {
-        self.total_dropped_updates + self.dropped_updates
+        self.acct.running().dropped_updates
     }
 
     /// Epochs cut so far (scheduled or [`StreamService::finish`]-final;
     /// on-demand snapshots don't count).
     pub fn epochs_cut(&self) -> usize {
-        self.epochs_cut
+        self.acct.cuts
     }
 
     /// A cheaply-cloneable reader handle onto this service's publication
     /// hub. Hand one to each reader thread;
-    /// [`latest`](SnapshotHandle::latest) is wait-free and always returns
+    /// [`latest`](SnapshotHandle::latest) always returns
     /// the newest *complete* epoch snapshot (never a partial merge) while
     /// the service keeps ingesting. Handles stay valid after the service is
     /// finished or dropped — they keep serving the last published epoch.
@@ -1126,7 +1228,7 @@ impl StreamService {
             .iter()
             .map(|c| c.load(Ordering::Relaxed).clamp(0, depth))
             .sum();
-        self.queue_peak = self.queue_peak.max(queued as usize);
+        self.acct.queue_peak = self.acct.queue_peak.max(queued as usize);
     }
 
     /// Deliver one command to worker `w` under the overflow contract:
@@ -1148,7 +1250,7 @@ impl StreamService {
                 self.senders[w]
                     .send(cmd)
                     .map_err(|_| ServiceError::WorkerDied { worker: w })?;
-                self.blocked += stall.elapsed();
+                self.acct.blocked += stall.elapsed();
             }
         }
         self.pending_cmds[w].fetch_add(1, Ordering::Relaxed);
@@ -1180,24 +1282,18 @@ impl StreamService {
                 del += u.delta.unsigned_abs();
             }
         }
-        let w = (self.offered / self.config.chunk) % self.senders.len();
+        let cell_offered = self.acct.offered();
+        let w = (cell_offered / self.config.chunk) % self.senders.len();
         let len = batch.len();
-        let cell_offered = self.offered as u64;
-        self.offered += len;
-        self.in_epoch += len as u64;
         // The worker and the log share one `Arc` of the cell — logging
         // copies nothing; during recovery replay the log is the *source*,
         // so nothing is re-logged and the logged outcome is never
         // re-decided (replayed batches are undroppable).
         let ingested = self.send_cmd(w, Cmd::Batch(Arc::clone(&batch)), !self.replaying)?;
         if ingested {
-            self.inserted += ins;
-            self.deleted += del;
-            self.total_updates += len;
-            self.ingested_in_epoch += len;
+            self.acct.record_ingested(len, ins, del);
         } else {
-            self.dropped_updates += len;
-            self.dropped_mass += ins + del;
+            self.acct.record_shed(len, ins + del);
         }
         if let Some(sink) = &mut self.wal {
             // Logged *after* dispatch: a crash between dispatch and append
@@ -1213,82 +1309,42 @@ impl StreamService {
             };
             let bytes = sink
                 .append(WalRecord {
-                    offered: cell_offered,
+                    offered: cell_offered as u64,
                     cell,
                 })
                 .map_err(ServiceError::Persist)?;
-            self.wal_records_epoch += 1;
-            self.wal_bytes_epoch += bytes;
+            self.acct.wal_records += 1;
+            self.acct.wal_bytes += bytes;
         }
         Ok(())
     }
 
-    /// Freeze the current accounting into an [`EpochReport`] shell (space
-    /// and merge timing are filled in when the clones arrive).
-    fn freeze_report(&mut self, epoch: usize) -> EpochReport {
-        self.total_inserted += self.inserted;
-        self.total_deleted += self.deleted;
-        self.total_dropped_updates += self.dropped_updates;
-        self.total_dropped_mass += self.dropped_mass;
-        let report = EpochReport {
-            epoch,
-            updates: self.ingested_in_epoch,
-            total_updates: self.total_updates,
-            inserted_mass: self.inserted,
-            deleted_mass: self.deleted,
-            total_inserted: self.total_inserted,
-            total_deleted: self.total_deleted,
-            alpha_configured: self.alpha_configured,
-            dropped_updates: self.dropped_updates,
-            dropped_mass: self.dropped_mass,
-            total_dropped_updates: self.total_dropped_updates,
-            total_dropped_mass: self.total_dropped_mass,
-            queue_peak: self.queue_peak,
-            blocked: self.blocked,
-            space: SpaceReport::default(),
-            elapsed: self.epoch_start.elapsed(),
-            merge_elapsed: Duration::ZERO,
-            merge: MergeReport::default(),
-            threads: self.config.threads,
-            wal_records: self.wal_records_epoch,
-            wal_bytes: self.wal_bytes_epoch,
-        };
-        self.inserted = 0;
-        self.deleted = 0;
-        self.in_epoch = 0;
-        self.ingested_in_epoch = 0;
-        self.dropped_updates = 0;
-        self.dropped_mass = 0;
-        self.queue_peak = 0;
-        self.blocked = Duration::ZERO;
-        self.wal_records_epoch = 0;
-        self.wal_bytes_epoch = 0;
-        self.epoch_start = Instant::now();
-        report
-    }
-
-    /// Cut an epoch: enqueue a snapshot command behind every worker's
-    /// pending batches and freeze the accounting. The workers' clones are
-    /// collected later ([`StreamService::resolve`]), so ingestion of the
-    /// next epoch proceeds while the cut is in flight.
-    fn cut(&mut self) -> Result<(), ServiceError> {
-        self.epochs_cut += 1;
-        let report = self.freeze_report(self.epochs_cut);
+    /// Enqueue a snapshot command behind every worker's pending batches.
+    /// Snapshot commands are never shed — a full queue blocks here under
+    /// either policy (the cut must observe exactly the batches dispatched
+    /// before it).
+    fn request_clones(&mut self, report: EpochReport) -> Result<PendingCut, ServiceError> {
         let mut replies = Vec::with_capacity(self.senders.len());
         for w in 0..self.senders.len() {
             let (reply_tx, reply_rx) = channel();
-            // Snapshot commands are never shed — a full queue blocks here
-            // under either policy (the cut must observe exactly the batches
-            // dispatched before it).
             self.send_cmd(w, Cmd::Snapshot(reply_tx), false)?;
             replies.push(reply_rx);
         }
-        self.pending.push(PendingCut { replies, report });
+        Ok(PendingCut { replies, report })
+    }
+
+    /// Cut an epoch: freeze the accounting and request the workers'
+    /// clones. The clones are collected later ([`StreamService::resolve`]),
+    /// so ingestion of the next epoch proceeds while the cut is in flight.
+    fn cut(&mut self) -> Result<(), ServiceError> {
+        let report = self.acct.freeze(self.spec.alpha, self.config.threads);
+        let cut = self.request_clones(report)?;
+        self.pending.push(cut);
         // Roll the log at the boundary: the sealed segment holds exactly
         // this epoch's records and becomes deletable once the cut's
         // snapshot is durably saved (`drain_pending`).
         if let Some(sink) = &mut self.wal {
-            sink.roll(self.offered as u64)
+            sink.roll(self.acct.offered() as u64)
                 .map_err(ServiceError::Persist)?;
         }
         Ok(())
@@ -1363,13 +1419,13 @@ impl StreamService {
         while !rest.is_empty() {
             // Room is computed in u64: `epoch` may exceed usize::MAX on
             // 32-bit targets (validate() rejects those before start), and
-            // the subtraction cannot underflow because `in_epoch + held <
-            // epoch` is a loop invariant — boundaries flush-and-cut
+            // the subtraction cannot underflow because `epoch.offered() +
+            // held < epoch` is a loop invariant — boundaries flush-and-cut
             // immediately below.
             let held = self.buf.len() as u64;
             let chunk = self.config.chunk as u64;
-            let epoch_room = self.config.epoch - self.in_epoch - held;
-            let cell_room = chunk - (self.offered as u64 + held) % chunk;
+            let epoch_room = self.config.epoch - self.acct.epoch.offered() as u64 - held;
+            let cell_room = chunk - (self.acct.offered() as u64 + held) % chunk;
             let take = epoch_room.min(cell_room).min(rest.len() as u64);
             let (piece, tail) = rest.split_at(take as usize);
             self.buf.extend_from_slice(piece);
@@ -1453,37 +1509,10 @@ impl StreamService {
         // observable side effect of an on-demand snapshot.
         self.flush()?;
         // Totals must not double-count when the scheduled cut arrives, so
-        // freeze a copy of the accounting instead of consuming it.
-        let report = EpochReport {
-            epoch: self.epochs_cut + 1,
-            updates: self.ingested_in_epoch,
-            total_updates: self.total_updates,
-            inserted_mass: self.inserted,
-            deleted_mass: self.deleted,
-            total_inserted: self.total_inserted + self.inserted,
-            total_deleted: self.total_deleted + self.deleted,
-            alpha_configured: self.alpha_configured,
-            dropped_updates: self.dropped_updates,
-            dropped_mass: self.dropped_mass,
-            total_dropped_updates: self.total_dropped_updates + self.dropped_updates,
-            total_dropped_mass: self.total_dropped_mass + self.dropped_mass,
-            queue_peak: self.queue_peak,
-            blocked: self.blocked,
-            space: SpaceReport::default(),
-            elapsed: self.epoch_start.elapsed(),
-            merge_elapsed: Duration::ZERO,
-            merge: MergeReport::default(),
-            threads: self.config.threads,
-            wal_records: self.wal_records_epoch,
-            wal_bytes: self.wal_bytes_epoch,
-        };
-        let mut replies = Vec::with_capacity(self.senders.len());
-        for w in 0..self.senders.len() {
-            let (reply_tx, reply_rx) = channel();
-            self.send_cmd(w, Cmd::Snapshot(reply_tx), false)?;
-            replies.push(reply_rx);
-        }
-        self.resolve(PendingCut { replies, report })
+        // peek at the accounting instead of freezing it.
+        let report = self.acct.peek(self.spec.alpha, self.config.threads);
+        let cut = self.request_clones(report)?;
+        self.resolve(cut)
     }
 
     /// Stop the service: cut a final (possibly partial) epoch if any
@@ -1509,7 +1538,7 @@ impl StreamService {
 
     fn finish_cut(&mut self, out: &mut Vec<Arc<Snapshot>>) -> Result<(), ServiceError> {
         self.flush()?;
-        if self.in_epoch > 0 {
+        if self.acct.epoch.offered() > 0 {
             self.cut()?;
         }
         self.drain_pending(out)?;
@@ -1538,8 +1567,8 @@ impl fmt::Debug for StreamService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("StreamService")
             .field("config", &self.config)
-            .field("total_updates", &self.total_updates)
-            .field("epochs_cut", &self.epochs_cut)
+            .field("total_updates", &self.total_updates())
+            .field("epochs_cut", &self.acct.cuts)
             .finish_non_exhaustive()
     }
 }

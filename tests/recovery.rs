@@ -233,6 +233,48 @@ fn recovery_rejects_mismatched_stamps_with_typed_errors() {
     assert!(rec.replay_from() > 0);
 }
 
+/// The resume cursor is derived from a snapshot's accounting, so a file
+/// whose offered stamp disagrees with it (any writer can produce one
+/// through the public `SnapshotStore::save`) is a typed corruption error,
+/// not a resume at a position the file does not stamp.
+#[test]
+fn recovery_rejects_an_offered_stamp_the_accounting_contradicts() {
+    let spec = conformance_spec(SketchFamily::Exact);
+    let cfg = service_config(3000, 1);
+    let dir = TempDir::new("cursor");
+    let sketch = registry().build(&spec).unwrap();
+    let report = EpochReport {
+        epoch: 1,
+        updates: 900,
+        total_updates: 900,
+        dropped_updates: 100,
+        total_dropped_updates: 100,
+        ..Default::default()
+    };
+    let save = |offered: u64| {
+        dir.store()
+            .save(
+                &spec,
+                &cfg.geometry_string(),
+                &report,
+                offered,
+                sketch.as_ref(),
+            )
+            .unwrap()
+    };
+    save(900);
+    assert!(matches!(
+        StreamService::recover(registry(), &spec, cfg, dir.store()),
+        Err(ServiceError::Persist(PersistError::State(
+            StateError::Corrupt(_)
+        )))
+    ));
+    // Ingested + shed is the stamp that resumes.
+    save(1000);
+    let svc = StreamService::recover(registry(), &spec, cfg, dir.store()).unwrap();
+    assert_eq!(svc.replay_from(), 1000);
+}
+
 /// An empty store is a fresh start, not an error — and the service then
 /// persists into it, so the *next* recovery finds snapshots.
 #[test]

@@ -467,6 +467,58 @@ fn drop_policy_accounting_reconciles_exactly() {
     );
 }
 
+/// An on-demand snapshot peeks at the accounting the next cut freezes:
+/// under shedding, with no ingest in between, `snapshot()` and the
+/// `finish()` cut that follows report the same tallies — and pokes after
+/// every `ingest` call move no scheduled cut.
+#[test]
+fn on_demand_report_matches_the_next_cut_under_shedding() {
+    let s = stream(0xD1);
+    let reg = slow_registry();
+    let spec = SketchSpec::new(SketchFamily::Exact)
+        .with_n(1 << 10)
+        .with_alpha(3.0);
+    let cfg = ServiceConfig::default()
+        .with_epoch(512)
+        .with_threads(2)
+        .with_chunk(64)
+        .with_depth(1)
+        .with_overflow(OverflowPolicy::Drop);
+    let mut svc = StreamService::start(&reg, &spec, cfg).unwrap();
+    let mut scheduled = Vec::new();
+    let mut peeked = None;
+    for piece in s.updates.chunks(700) {
+        scheduled.extend(svc.ingest(piece).unwrap());
+        peeked = Some(svc.snapshot().unwrap().report);
+    }
+    let peeked = peeked.expect("the stream is not empty");
+    let cut = svc
+        .finish()
+        .unwrap()
+        .expect("the stream ends mid-epoch")
+        .report;
+
+    assert!(cut.total_dropped_updates > 0, "nothing was shed");
+    assert_eq!(peeked.epoch, cut.epoch);
+    assert_eq!(peeked.updates, cut.updates);
+    assert_eq!(peeked.dropped_updates, cut.dropped_updates);
+    assert_eq!(peeked.total_updates, cut.total_updates);
+    assert_eq!(peeked.total_inserted, cut.total_inserted);
+    assert_eq!(peeked.total_deleted, cut.total_deleted);
+    assert_eq!(peeked.total_dropped_updates, cut.total_dropped_updates);
+    assert_eq!(peeked.total_dropped_mass, cut.total_dropped_mass);
+    assert_eq!(peeked.total_offered_updates(), cut.total_offered_updates());
+    assert_eq!(cut.total_offered_updates(), s.len());
+
+    // The schedule counts offered updates alone, so the pokes left every
+    // scheduled cut where an unpoked run puts it.
+    assert_eq!(scheduled.len(), s.len() / 512);
+    for (i, snap) in scheduled.iter().enumerate() {
+        assert_eq!(snap.report.epoch, i + 1);
+        assert_eq!(snap.report.total_offered_updates(), 512 * (i + 1));
+    }
+}
+
 /// Item that [`PanickySketch`] refuses to ingest, killing its worker.
 const POISON: u64 = 0xDEAD;
 
